@@ -33,7 +33,8 @@ import numpy as np
 
 from .core import BipartitionDims, Spectrum, _as_values
 from .errors import ConvergenceError, FeasibilityError
-from .orthopoly import HermiteSpec, LaguerreSpec, hermite_zeros, laguerre_zeros
+from .fixedpurity import critical_threshold, eta_from_purity
+from .orthopoly import LaguerreSpec, laguerre_zeros
 
 __all__ = [
     "EnergyParams",
@@ -245,9 +246,7 @@ def _balanced_feasible(n: int, purity_target: float) -> bool:
     """Smallest zero of the fixed-purity solution stays positive."""
     if n == 1:
         return purity_target == 1.0
-    eta = n * n * (n - 1) / (2.0 * (n * purity_target - 1.0))
-    h_min = hermite_zeros(HermiteSpec(n, 0.0, 1.0))[0]
-    return 1.0 / n + h_min / math.sqrt(eta) > 0.0
+    return eta_from_purity(n, purity_target) > critical_threshold(n).eta_plus
 
 
 def solve_saddle_numeric(dims, purity_target=None, init=None) -> SaddleSolution:

@@ -7,8 +7,8 @@ zeros of a Hermite polynomial mapped by x -> sqrt(eta) (x - 1/N), where
     eta = N^2 (N - 1) / (2 (N pi - 1)),      xi = -2 eta / N.
 
 The construction stays meaningful past the point where the smallest zero
-crosses 0 (the spectrum simply stops being a spectrum), which is how the
-positivity threshold eta_plus is located: bisection on the smallest zero.
+crosses 0 (the spectrum simply stops being a spectrum).  That crossing, the
+positivity threshold eta_plus, has a closed form in the smallest zero of H_N.
 """
 
 from __future__ import annotations
@@ -151,8 +151,8 @@ def solve_isopurity(problem: IsopurityProblem) -> FixedPuritySolution:
 class CriticalThreshold:
     """Positivity threshold of the fixed-purity family at size n.
 
-    eta_plus is the finite-n bisection result (smallest eigenvalue crosses
-    zero); beta_plus and purity_critical are its large-n limits 2 and 5/(4n).
+    eta_plus is the finite-n value at which the smallest eigenvalue crosses
+    zero; beta_plus and purity_critical are its large-n limits 2 and 5/(4n).
     """
 
     n: int
@@ -163,31 +163,17 @@ class CriticalThreshold:
     purity_critical: float
 
 
-def critical_threshold(n: int, tol: float = 1e-10) -> CriticalThreshold:
-    """Bisect eta until the smallest mapped zero changes sign.
+def critical_threshold(n: int) -> CriticalThreshold:
+    """Positivity threshold in closed form.
 
-    The smallest zero 1/n + h_min/sqrt(eta) is increasing in eta, h_min < 0
-    being the smallest raw Hermite zero. lo = n^2/8 is always infeasible
-    (h_min <= -1/sqrt(2)) and hi = 8 n^3 always feasible (|h_min| <=
-    sqrt(2n)), so the bracket never needs growing.
+    The smallest mapped zero is 1/n + h_min/sqrt(eta), h_min < 0 being the
+    smallest zero of H_n, which does not depend on eta.  It is increasing in
+    eta and crosses zero at eta_plus = (n h_min)^2 exactly.
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    lo = n * n / 8.0
-    hi = 8.0 * n**3
-    if _mapped_zeros(n, lo)[0] > 0 or _mapped_zeros(n, hi)[0] < 0:
-        raise FeasibilityError(f"threshold bracket failed at n={n}")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            # bracket has hit float64 resolution; 1e-10 absolute width is
-            # unreachable once eta_plus grows past ~1e6 (ulp > tol there)
-            break
-        if _mapped_zeros(n, mid)[0] >= 0.0:
-            hi = mid
-        else:
-            lo = mid
-    eta_plus = 0.5 * (lo + hi)
+    h_min = hermite_zeros(HermiteSpec(degree=n, shift=0.0, scale=1.0))[0]
+    eta_plus = float(n * h_min) ** 2
     return CriticalThreshold(
         n=n,
         eta_plus=eta_plus,

@@ -122,6 +122,14 @@ def test_critical_threshold_two_levels():
     assert crit.beta_plus_finite == pytest.approx(crit.eta_plus / 8.0, rel=1e-12)
 
 
+def test_critical_threshold_closed_form_matches_bisection():
+    # values of the bisection on the smallest mapped zero that the closed
+    # form eta_plus = (n h_min)^2 replaced
+    assert critical_threshold(64).eta_plus == pytest.approx(453833.80560722237, rel=1e-12)
+    assert critical_threshold(200).eta_plus == pytest.approx(14960261.561572518, rel=1e-12)
+    assert critical_threshold(2).eta_plus == pytest.approx(2.0, rel=1e-14, abs=0.0)
+
+
 def test_critical_threshold_consistency():
     for n in (3, 5, 9):
         crit = critical_threshold(n)
