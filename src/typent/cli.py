@@ -35,7 +35,6 @@ _CONFIG_CASTS = {
     "eta": float,
     "samples": int,
     "seed": int,
-    "chunk_size": int,
     "functional": str,
     "histogram_bins": int,
     "kind": str,
@@ -161,7 +160,9 @@ def _run_typical(args) -> tuple[str, dict]:
         "xi": coulomb.multiplier_xi(dims),
         "purity_formula": typ.purity,
         "purity_recomputed": float(np.sum(values * values)),
-        "invariants_s": {f"s_{k}": typ.invariants_s(k) for k in range(1, dims.n + 1)},
+        "invariants_s": {
+            f"s_{k}": s for k, s in enumerate(typ.invariants_s_table(), start=1)
+        },
         "determinant": float(np.prod(values)),
         "determinant_log": typ.determinant_log,
     }
@@ -239,7 +240,6 @@ def _run_sample(args) -> tuple[str, dict]:
         dims=dims,
         sample_count=args.samples,
         seed=args.seed if args.seed is not None else 0,
-        chunk_size=args.chunk_size if args.chunk_size is not None else 1024,
     )
     if args.histogram_bins is not None:
         table = sampler.histogram_rescaled(config, args.histogram_bins)
@@ -375,7 +375,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--samples", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--chunk-size", type=int, default=None, dest="chunk_size")
     p.add_argument("--functional", default=None,
                    help="purity, entropy, det, lambda_variance, det_power(k), trace_power(k)")
     p.add_argument("--histogram-bins", type=int, default=None, dest="histogram_bins",

@@ -161,6 +161,26 @@ class TypicalQuantities:
             return float(invariant_s_exact(n, m, k))
         return math.exp(_log_invariant_s(n, m, k))
 
+    def invariants_s_table(self) -> list[float]:
+        """[invariants_s(k) for k in 1..N], bit for bit, in O(N) exact steps.
+
+        On the exact route s_k = s_(k-1) (N-k+1)(M-k) / (k N (M-1)), so one
+        running rational product replaces N factorial ratios.
+        """
+        n, m = self.dims.n, self.dims.m
+        if m > 2000:
+            return [self.invariants_s(k) for k in range(1, n + 1)]
+        out = []
+        s = Fraction(1)
+        for k in range(1, n + 1):
+            if m == n and k == n:
+                # the balanced zero eigenvalue; also keeps N(M-1) = 0 out at N = M = 1
+                out.append(0.0)
+                break
+            s *= Fraction((n - k + 1) * (m - k), k * n * (m - 1))
+            out.append(float(s))
+        return out
+
     def traces_asymptotic(self, k: int, mu: float) -> float:
         return asymptotic_traces(k, mu)
 

@@ -2,14 +2,21 @@
 
 A sample is the eigenvalue vector of W W*/tr(W W*) for an N x M matrix W of
 independent complex Gaussian entries, which realizes exactly the reduced
-state of a uniformly random pure state on an NM-dimensional space.
+state of a uniformly random pure state on an NM-dimensional space.  W W* is
+the beta = 2 Laguerre ensemble, so the kernel draws it through the
+Dumitriu-Edelman bidiagonal model instead: B is lower bidiagonal with
+squared diagonal chi^2 variates of 2M, 2(M-1), ..., 2(M-N+1) degrees of
+freedom and squared subdiagonal chi^2 variates of 2(N-1), ..., 2, and the
+tridiagonal T = B B^T has the eigenvalue law of W W*.  Its trace, the sum of
+all 2N-1 draws, has the law of tr(W W*); T/tr(T) is diagonalized by LAPACK
+dsterf.  A spectrum costs O(N) variates and O(N^2) work, not O(NM) variates
+and a dense eigensolve.
 
 Determinism contract: results for a fixed (seed, dims, sample_count) are
-bit-identical no matter how the work is chunked or how many workers run.
-This is achieved by drawing each fixed-size block of samples from its own
-counter-based stream keyed by (seed, block index) and folding the per-block
-partial statistics strictly in block order.  `chunk_size` is therefore only
-a dispatch hint; accumulation granularity is the internal block.
+bit-identical no matter how many workers run.  Each fixed-size block of
+samples is drawn from its own counter-based stream keyed by (seed, block
+index), and the per-block partial statistics are folded strictly in block
+order.
 """
 
 from __future__ import annotations
@@ -21,9 +28,10 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
+from scipy.linalg.lapack import dsterf
 
 from .core import BipartitionDims, Spectrum
-from .errors import AccuracyError
+from .errors import AccuracyError, ConvergenceError
 
 __all__ = [
     "SamplerConfig",
@@ -46,9 +54,13 @@ def _env_worker_cap() -> int:
     raw = os.environ.get("TYPENT_THREADS")
     if raw is None:
         return os.cpu_count() or 1
-    cap = int(raw)
+    message = f"TYPENT_THREADS must be an integer >= 1, got {raw!r}"
+    try:
+        cap = int(raw)
+    except ValueError:
+        raise ValueError(message) from None
     if cap < 1:
-        raise ValueError(f"TYPENT_THREADS must be >= 1, got {cap}")
+        raise ValueError(message)
     return cap
 
 
@@ -63,18 +75,15 @@ def _resolve_workers(requested: int | None) -> int:
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Run description; chunk_size is a dispatch hint, not a result knob."""
+    """Run description: what to sample, how many times, from which seed."""
 
     dims: BipartitionDims
     sample_count: int
     seed: int = 0
-    chunk_size: int = _BLOCK
 
     def __post_init__(self) -> None:
         if self.sample_count < 1:
             raise ValueError(f"sample_count must be >= 1, got {self.sample_count}")
-        if self.chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {self.chunk_size}")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
 
@@ -92,19 +101,23 @@ def _block_rng(seed: int, block_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _eigenvalue_block(
-    dims: BipartitionDims, seed: int, block_index: int, block_len: int
-) -> np.ndarray:
-    """Ascending eigenvalues of block_len sampled spectra, shape (B, N)."""
+def _spectra(dims: BipartitionDims, g: np.random.Generator, count: int) -> np.ndarray:
+    """Ascending eigenvalues of `count` sampled spectra, shape (count, N)."""
     n, m = dims.n, dims.m
-    g = _block_rng(seed, block_index)
-    z = g.standard_normal((block_len, n, m)) + 1j * g.standard_normal(
-        (block_len, n, m)
-    )
-    a = z @ np.conjugate(np.swapaxes(z, 1, 2))
-    tr = np.einsum("bii->b", a).real
-    a /= tr[:, None, None]
-    vals = np.linalg.eigvalsh(a)
+    a = g.chisquare(2.0 * np.arange(m, m - n, -1), size=(count, n))
+    b = g.chisquare(2.0 * np.arange(n - 1, 0, -1), size=(count, n - 1))
+    # T = B B^T: diagonal a_i + b_(i-1), off-diagonal sqrt(a_i b_i)
+    vals = a.copy()
+    vals[:, 1:] += b
+    tr = vals.sum(axis=1)[:, None]
+    vals /= tr
+    off = np.sqrt(a[:, :-1] * b) / tr
+    if n > 1:
+        # each row of `vals` is replaced by its eigenvalues, ascending
+        for d, e in zip(vals, off):
+            d[:], info = dsterf(d, e)
+            if info != 0:
+                raise ConvergenceError(f"LAPACK dsterf failed with info={info}")
     low = float(vals.min())
     if low < _CLAMP:
         raise AccuracyError(
@@ -116,18 +129,8 @@ def _eigenvalue_block(
 
 
 def sample_spectrum(dims: BipartitionDims, rng: np.random.Generator) -> Spectrum:
-    """One spectrum from the given generator (real draws, then imaginary)."""
-    n, m = dims.n, dims.m
-    z = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
-    a = z @ np.conjugate(z.T)
-    a /= np.trace(a).real
-    vals = np.linalg.eigvalsh(a)
-    low = float(vals.min())
-    if low < _CLAMP:
-        raise AccuracyError(
-            "sampled spectrum has an eigenvalue below the clamp window", value=low
-        )
-    return Spectrum.from_values(np.clip(vals, 0.0, None))
+    """One spectrum drawn from the given generator."""
+    return Spectrum.from_values(_spectra(dims, rng, 1)[0])
 
 
 def _functional(dims: BipartitionDims, name: str) -> Callable[[np.ndarray], np.ndarray]:
@@ -207,7 +210,7 @@ def estimate_many(
 
     def _partials(task: tuple[int, int, int]):
         block_index, _, length = task
-        vals = _eigenvalue_block(config.dims, config.seed, block_index, length)
+        vals = _spectra(config.dims, _block_rng(config.seed, block_index), length)
         out = []
         for fn in fns:
             x = fn(vals)
@@ -253,7 +256,7 @@ def rescaled_eigenvalues(
 
     def _block(task: tuple[int, int, int]):
         block_index, _, length = task
-        vals = _eigenvalue_block(config.dims, config.seed, block_index, length)
+        vals = _spectra(config.dims, _block_rng(config.seed, block_index), length)
         return (config.dims.n * vals).ravel()
 
     parts = list(_map_blocks(_block_ranges(config.sample_count), _block, nworkers))

@@ -208,3 +208,29 @@ def test_numeric_failure_exit_code(capsys, monkeypatch):
 def test_unknown_subcommand_is_usage_error(capsys):
     code, _, _ = _run(capsys, "bogus")
     assert code == 2
+
+
+def test_sample_has_no_chunk_size(tmp_path, capsys):
+    doc = _run_json(capsys, "sample", "--n", "2", "--m", "2", "--samples", "10")
+    assert list(doc["config"]) == [
+        "command", "n", "m", "samples", "seed", "functional", "histogram_bins",
+        "format", "output_path",
+    ]
+    code, _, _ = _run(capsys, "sample", "--n", "2", "--m", "2", "--samples", "10",
+                      "--chunk-size", "7")
+    assert code == 2
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n = 2\nm = 2\nsamples = 10\nchunk_size = 7\n")
+    code, _, err = _run(capsys, "sample", "--config", str(cfg))
+    assert code == 2
+    assert "chunk_size" in err
+
+
+@pytest.mark.parametrize("raw", ["abc", "1.5", "0", "-3"])
+def test_bad_thread_cap_is_usage_error(capsys, monkeypatch, raw):
+    monkeypatch.setenv("TYPENT_THREADS", raw)
+    code, out, err = _run(capsys, "sample", "--n", "2", "--m", "2", "--samples", "10")
+    assert code == 2
+    assert out == ""
+    assert "TYPENT_THREADS" in err
+    assert repr(raw) in err

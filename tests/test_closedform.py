@@ -96,6 +96,13 @@ def test_balanced_invariant_s_n_vanishes():
     assert typical_quantities(BipartitionDims(4, 4)).invariants_s(4) == 0.0
 
 
+def test_invariants_table_equals_per_k_values():
+    for n, m in [(1, 1), (5, 5), (7, 12), (300, 301), (4, 2500)]:
+        typ = typical_quantities(BipartitionDims(n, m))
+        per_k = [typ.invariants_s(k) for k in range(1, n + 1)]
+        assert typ.invariants_s_table() == per_k
+
+
 def test_typical_vs_mean_purity_gap():
     # the two purities differ at order 1/(NM)
     for n in range(2, 9):

@@ -1,11 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.stats import ks_2samp
 
 from typent.closedform import mean_moments
 from typent.core import BipartitionDims
 from typent.sampler import (
     SamplerConfig,
+    _block_ranges,
+    _block_rng,
     _resolve_workers,
+    _spectra,
     estimate,
     estimate_json_dict,
     estimate_many,
@@ -20,16 +26,15 @@ def _config(n, m, count, seed=0, **kw):
 
 
 def test_reproducible_across_dispatch():
-    """Same seed must give bit-identical results whatever the chunking or
-    thread count; the stream is keyed by fixed-size block, not by worker."""
+    """Same seed must give bit-identical results whatever the thread count;
+    the stream is keyed by fixed-size block, not by worker."""
     base = estimate(_config(3, 5, 4000, seed=42), "purity", workers=1)
-    for chunk in (1, 7, 999983):
-        for workers in (1, 3):
-            cfg = _config(3, 5, 4000, seed=42, chunk_size=chunk)
-            again = estimate(cfg, "purity", workers=workers)
-            assert again.mean == base.mean
-            assert again.std_error == base.std_error
-            assert again.count == base.count
+    for workers in (1, 3):
+        cfg = _config(3, 5, 4000, seed=42)
+        again = estimate(cfg, "purity", workers=workers)
+        assert again.mean == base.mean
+        assert again.std_error == base.std_error
+        assert again.count == base.count
 
 
 def test_seed_changes_stream():
@@ -49,6 +54,9 @@ def test_sample_spectrum_basic():
     spec = sample_spectrum(BipartitionDims(4, 7), rng)
     v = spec.values
     assert v.shape == (4,)
+    # a thin wrapper over the block kernel: same draws, descending order
+    same = _spectra(BipartitionDims(4, 7), np.random.default_rng(0), 1)[0]
+    assert np.array_equal(v, same[::-1])
     assert abs(v.sum() - 1.0) <= 1e-12
     assert np.all(np.diff(v) <= 0.0)
     assert v.min() >= 0.0
@@ -88,8 +96,6 @@ def test_functional_name_errors():
 def test_config_validation():
     with pytest.raises(ValueError):
         _config(2, 2, 0)
-    with pytest.raises(ValueError):
-        _config(2, 2, 10, chunk_size=0)
     with pytest.raises(ValueError):
         _config(2, 2, 10, seed=-1)
     with pytest.raises(ValueError):
@@ -132,7 +138,7 @@ def test_rescaled_eigenvalues_pooling():
     assert mu.min() >= 0.0
     # per-sample trace is 1, so rescaled values sum to N per sample
     assert np.sum(mu) == pytest.approx(2.0 * 500, rel=1e-12)
-    again = rescaled_eigenvalues(_config(2, 3, 500, seed=3, chunk_size=17), workers=2)
+    again = rescaled_eigenvalues(_config(2, 3, 500, seed=3), workers=2)
     assert np.array_equal(mu, again)
 
 
@@ -173,3 +179,82 @@ def test_thread_cap_env(monkeypatch):
     assert _resolve_workers(2) == 2
     with pytest.raises(ValueError):
         _resolve_workers(0)
+
+
+def _ginibre_spectra(dims, g, count):
+    """Reference kernel: ascending eigenvalues of W W*/tr(W W*) for dense
+    complex Gaussian N x M matrices W, shape (count, N)."""
+    n, m = dims.n, dims.m
+    z = g.standard_normal((count, n, m)) + 1j * g.standard_normal((count, n, m))
+    a = z @ np.conjugate(np.swapaxes(z, 1, 2))
+    tr = np.einsum("bii->b", a).real
+    a /= tr[:, None, None]
+    return np.clip(np.linalg.eigvalsh(a), 0.0, None)
+
+
+def _purity_entropy(vals):
+    safe = np.where(vals > 0.0, vals, 1.0)
+    return np.sum(vals * vals, axis=1), -np.sum(vals * np.log(safe), axis=1)
+
+
+@pytest.mark.parametrize(
+    "n, m, count, ref_count",
+    [
+        (2, 2, 20_000, 20_480),
+        (3, 7, 20_000, 20_480),
+        (64, 64, 2048, 512),
+        (64, 256, 2048, 512),
+    ],
+)
+def test_laguerre_kernel_matches_ginibre_oracle(n, m, count, ref_count):
+    """The bidiagonal model has the law of the dense complex Gaussian route:
+    two-sample KS on pooled eigenvalues and on per-sample purity, and purity
+    and entropy means within 4 combined standard errors."""
+    dims = BipartitionDims(n, m)
+    new = _spectra(dims, _block_rng(2026, 0), count)
+    g = np.random.default_rng(n * 1000 + m)
+    # 128-sample chunks bound the dense kernel's memory at 64 x 256
+    ref = np.concatenate(
+        [_ginibre_spectra(dims, g, 128) for _ in range(ref_count // 128)]
+    )
+    assert ks_2samp(new.ravel(), ref.ravel()).pvalue > 1e-3
+    new_stats, ref_stats = _purity_entropy(new), _purity_entropy(ref)
+    assert ks_2samp(new_stats[0], ref_stats[0]).pvalue > 1e-3
+    for x, y in zip(new_stats, ref_stats):
+        se = np.sqrt(x.var(ddof=1) / x.size + y.var(ddof=1) / y.size)
+        assert abs(x.mean() - y.mean()) <= 4.0 * se
+
+
+def test_degenerate_dimensions():
+    # N = 1: the only spectrum is [1.0], exactly
+    spec = sample_spectrum(BipartitionDims(1, 5), np.random.default_rng(3))
+    assert spec.values.tolist() == [1.0]
+    assert np.all(rescaled_eigenvalues(_config(1, 1, 1500, seed=4)) == 1.0)
+    # M = N: the smallest chi^2 variate has 2 degrees of freedom, eigenvalues
+    # crowd 0 but stay inside the clamp window and come out nonnegative
+    for n in (2, 5, 64):
+        mu = rescaled_eigenvalues(_config(n, n, 1100, seed=n))
+        assert mu.shape == (1100 * n,)
+        assert mu.min() >= 0.0
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.integers(1, 6),
+    extra=st.integers(0, 6),
+    seed=st.integers(0, 2**64 - 1),
+    count=st.integers(1, 2200),
+    workers=st.integers(1, 3),
+)
+def test_kernel_properties(n, extra, seed, count, workers):
+    dims = BipartitionDims(n, n + extra)
+    for index, _, length in _block_ranges(count):
+        vals = _spectra(dims, _block_rng(seed, index), length)
+        assert vals.shape == (length, n)
+        assert np.all(np.diff(vals, axis=1) >= 0.0)
+        assert vals.min() >= 0.0
+        assert np.max(np.abs(vals.sum(axis=1) - 1.0)) <= 1e-12
+    cfg = SamplerConfig(dims, sample_count=count, seed=seed)
+    names = ["purity", "entropy", "det"]
+    base = estimate_many(cfg, names, workers=1)
+    assert estimate_many(cfg, names, workers=workers) == base
