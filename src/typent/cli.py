@@ -7,8 +7,7 @@ Exit codes: 0 success, 2 usage or domain error, 3 infeasible problem,
 Every output carries the run configuration echo.  JSON and CSV renderings
 format all numbers identically (17 significant digits), so the two formats
 are value-for-value interchangeable.  An optional key=value config file
-supplies defaults; explicit flags always win.  TYPENT_THREADS caps the
-sampler's worker count.
+supplies defaults; explicit flags always win.
 """
 
 from __future__ import annotations

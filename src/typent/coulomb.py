@@ -47,7 +47,6 @@ __all__ = [
     "typical_solution",
     "multiplier_xi",
     "trace_inverse",
-    "hessian_trace_check",
 ]
 
 MAX_ITERATIONS = 500
@@ -103,6 +102,14 @@ def _interior_ok(v: np.ndarray, alpha: int) -> bool:
     return True
 
 
+def _pair_differences(v: np.ndarray) -> np.ndarray:
+    """lambda_i - lambda_j as an N x N matrix with a unit diagonal, so that it
+    inverts elementwise; callers zero the diagonal of the inverse."""
+    diff = v[:, None] - v[None, :]
+    np.fill_diagonal(diff, 1.0)
+    return diff
+
+
 def energy(spectrum, params: EnergyParams) -> float:
     """E(lambda; xi, eta); +inf sentinel at coincident charges or at a zero
     charge when M > N (never an exception)."""
@@ -130,9 +137,7 @@ def gradient(spectrum, params: EnergyParams) -> np.ndarray:
         return np.full(v.size, math.inf)
     g = np.full(v.size, float(params.xi))
     if v.size > 1:
-        diff = v[:, None] - v[None, :]
-        np.fill_diagonal(diff, 1.0)
-        inv = 1.0 / diff
+        inv = 1.0 / _pair_differences(v)
         np.fill_diagonal(inv, 0.0)
         g -= 2.0 * inv.sum(axis=1)
     if alpha > 0:
@@ -151,8 +156,7 @@ def hessian(spectrum, params: EnergyParams) -> np.ndarray:
         return np.full((n, n), math.inf)
     h = np.zeros((n, n))
     if n > 1:
-        diff = v[:, None] - v[None, :]
-        np.fill_diagonal(diff, 1.0)
+        diff = _pair_differences(v)
         inv2 = 1.0 / (diff * diff)
         np.fill_diagonal(inv2, 0.0)
         h = -2.0 * inv2
@@ -182,6 +186,9 @@ def trace_inverse(dims: BipartitionDims) -> float:
 
 
 def _is_positive_definite(h: np.ndarray) -> bool:
+    """Finite, and its Cholesky factorization succeeds."""
+    if not np.all(np.isfinite(h)):
+        return False
     try:
         np.linalg.cholesky(h)
         return True
@@ -189,30 +196,11 @@ def _is_positive_definite(h: np.ndarray) -> bool:
         return False
 
 
-def _definite_at(values: np.ndarray, params: EnergyParams) -> bool:
-    h = hessian(values, params)
-    return bool(np.all(np.isfinite(h))) and _is_positive_definite(h)
-
-
 def _start_point(n: int) -> np.ndarray:
     # maximally mixed plus 1e-3-graded, ordered, zero-sum offsets
     if n == 1:
         return np.array([1.0])
     return (1.0 + 1e-3 * np.linspace(-1.0, 1.0, n)) / n
-
-
-def _raw_gradient(v: np.ndarray, alpha: int) -> np.ndarray:
-    """Gradient of F alone (no multiplier terms)."""
-    g = np.zeros(v.size)
-    if v.size > 1:
-        diff = v[:, None] - v[None, :]
-        np.fill_diagonal(diff, 1.0)
-        inv = 1.0 / diff
-        np.fill_diagonal(inv, 0.0)
-        g -= 2.0 * inv.sum(axis=1)
-    if alpha > 0:
-        g -= alpha / v
-    return g
 
 
 def _fit_multipliers(v, g0, constrained):
@@ -227,9 +215,9 @@ def _fit_multipliers(v, g0, constrained):
     return xi, eta, a
 
 
-def _kkt_state(v, alpha, purity_target):
+def _kkt_state(v, dims, purity_target):
     constrained = purity_target is not None
-    g0 = _raw_gradient(v, alpha)
+    g0 = gradient(v, EnergyParams(dims))  # F alone: no multiplier terms
     xi, eta, a = _fit_multipliers(v, g0, constrained)
     g = g0 + xi
     if constrained:
@@ -240,6 +228,13 @@ def _kkt_state(v, alpha, purity_target):
     c = np.asarray(c)
     merit = float(np.sqrt(g @ g + c @ c))
     return g0, xi, eta, a, g, c, merit
+
+
+def _kkt_hessian(x, dims, xi, eta):
+    # eta can be negative transiently, which EnergyParams rejects; add it by hand
+    h = hessian(x, EnergyParams(dims, eta=0.0, xi=xi))
+    h[np.diag_indices(x.size)] += 2.0 * eta
+    return h
 
 
 def _balanced_feasible(n: int, purity_target: float) -> bool:
@@ -316,16 +311,14 @@ def solve_saddle_numeric(dims, purity_target=None, init=None) -> SaddleSolution:
     else:
         x = _start_point(n)
 
-    g0, xi, eta, a, g, c, merit = _kkt_state(x, alpha, purity_target)
+    g0, xi, eta, a, g, c, merit = _kkt_state(x, dims, purity_target)
     for _ in range(MAX_ITERATIONS):
         res = float(np.max(np.abs(g)))
         cres = float(np.max(np.abs(c)))
         scale = max(abs(xi), 1.0)
         if res <= 1e-13 * scale and cres <= 1e-13:
             break
-        # eta can be negative transiently, which EnergyParams rejects; add it by hand
-        h = hessian(x, EnergyParams(dims, eta=0.0, xi=xi))
-        h[np.diag_indices(n)] += 2.0 * eta
+        h = _kkt_hessian(x, dims, xi, eta)
         k = a.shape[1]
         kkt = np.zeros((n + k, n + k))
         kkt[:n, :n] = h
@@ -351,7 +344,7 @@ def solve_saddle_numeric(dims, purity_target=None, init=None) -> SaddleSolution:
         improved = False
         while step > 1e-14:
             x_try = x + step * dx
-            state = _kkt_state(x_try, alpha, purity_target)
+            state = _kkt_state(x_try, dims, purity_target)
             if state[-1] < merit:
                 x = x_try
                 g0, xi, eta, a, g, c, merit = state
@@ -369,8 +362,6 @@ def solve_saddle_numeric(dims, purity_target=None, init=None) -> SaddleSolution:
             f"constraint residual {cres:.3e}"
         )
 
-    h_check = hessian(x, EnergyParams(dims, eta=0.0, xi=xi))
-    h_check[np.diag_indices(n)] += 2.0 * eta
     residuals = tuple(abs(float(ci)) for ci in c)
     return SaddleSolution(
         dims=dims,
@@ -379,8 +370,7 @@ def solve_saddle_numeric(dims, purity_target=None, init=None) -> SaddleSolution:
         eta=eta,
         max_force_residual=res,
         constraint_residuals=residuals,
-        hessian_definite=bool(np.all(np.isfinite(h_check)))
-        and _is_positive_definite(h_check),
+        hessian_definite=_is_positive_definite(_kkt_hessian(x, dims, xi, eta)),
     )
 
 
@@ -411,42 +401,5 @@ def typical_solution(dims: BipartitionDims) -> SaddleSolution:
         eta=0.0,
         max_force_residual=res,
         constraint_residuals=(abs(float(values.sum()) - 1.0),),
-        hessian_definite=_definite_at(inner_values, params),
+        hessian_definite=_is_positive_definite(hessian(inner_values, params)),
     )
-
-
-@dataclass(frozen=True)
-class HessianTraceReport:
-    """Trace of the Hessian at the typical spectrum against the quoted bound.
-
-    The quoted bound N^3 (M-N) + 2 N (N-1) M captures the leading N=2 scaling
-    (ratio -> 1 as M grows) but is not a strict inequality at finite size, and
-    for N >= 3 the pair term is too small at leading order; `satisfied` records
-    the literal comparison, `ratio` the honest diagnostic.
-    """
-
-    trace: float
-    bound: float
-
-    @property
-    def ratio(self) -> float:
-        return self.trace / self.bound
-
-    @property
-    def satisfied(self) -> bool:
-        return self.trace <= self.bound
-
-
-def hessian_trace_check(dims: BipartitionDims) -> HessianTraceReport:
-    """Evaluate tr(Hessian) at the typical spectrum and the quoted N^3-scaling bound."""
-    sol = typical_solution(dims)
-    v = sol.spectrum.values
-    if dims.balanced:
-        v = v[v > 0.0]
-        inner = BipartitionDims(dims.n - 1, dims.n + 1) if dims.n > 1 else dims
-    else:
-        inner = dims
-    h = hessian(v, EnergyParams(inner, eta=0.0, xi=sol.xi))
-    n, m = dims.n, dims.m
-    bound = float(n**3 * (m - n) + 2 * n * (n - 1) * m)
-    return HessianTraceReport(trace=float(np.trace(h)), bound=bound)

@@ -12,20 +12,19 @@ all 2N-1 draws, has the law of tr(W W*); T/tr(T) is diagonalized by LAPACK
 dsterf.  A spectrum costs O(N) variates and O(N^2) work, not O(NM) variates
 and a dense eigensolve.
 
-Determinism contract: results for a fixed (seed, dims, sample_count) are
-bit-identical no matter how many workers run.  Each fixed-size block of
-samples is drawn from its own counter-based stream keyed by (seed, block
-index), and the per-block partial statistics are folded strictly in block
-order.
+Determinism contract: the same (seed, dims, sample_count) gives the same
+bits.  Each fixed-size block of samples is drawn from its own counter-based
+stream keyed by (seed, block index), and blocks run one after another on the
+calling thread, their partial statistics folded in block order.  (Each
+dsterf call holds the GIL, so a thread pool would not run blocks in
+parallel.)
 """
 
 from __future__ import annotations
 
-import os
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 from scipy.linalg.lapack import dsterf
@@ -48,29 +47,6 @@ __all__ = [
 _BLOCK = 1024
 _CLAMP = -1e-13
 _POWER_RE = re.compile(r"^(det_power|trace_power)\((\d+)\)$")
-
-
-def _env_worker_cap() -> int:
-    raw = os.environ.get("TYPENT_THREADS")
-    if raw is None:
-        return os.cpu_count() or 1
-    message = f"TYPENT_THREADS must be an integer >= 1, got {raw!r}"
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ValueError(message) from None
-    if cap < 1:
-        raise ValueError(message)
-    return cap
-
-
-def _resolve_workers(requested: int | None) -> int:
-    cap = _env_worker_cap()
-    if requested is None:
-        return max(1, min(4, os.cpu_count() or 1, cap))
-    if requested < 1:
-        raise ValueError(f"workers must be >= 1, got {requested}")
-    return min(requested, cap)
 
 
 @dataclass(frozen=True)
@@ -189,43 +165,31 @@ def _merge(
     return c, mean, m2
 
 
-def _map_blocks(work: Sequence, fn: Callable, workers: int) -> Iterable:
-    if workers <= 1 or len(work) <= 1:
-        return map(fn, work)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, work))
+def _blocks(config: SamplerConfig) -> Iterator[np.ndarray]:
+    """Spectra of the run, one (length, N) array per block, in block order."""
+    for block_index, _, length in _block_ranges(config.sample_count):
+        yield _spectra(config.dims, _block_rng(config.seed, block_index), length)
 
 
 def estimate_many(
-    config: SamplerConfig,
-    functionals: Sequence[str],
-    workers: int | None = None,
+    config: SamplerConfig, functionals: Sequence[str]
 ) -> dict[str, EnsembleEstimate]:
     """Single-pass streaming estimates of several functionals at once."""
     names = list(functionals)
     if len(set(names)) != len(names):
         raise ValueError("duplicate functional names")
     fns = [_functional(config.dims, name) for name in names]
-    nworkers = _resolve_workers(workers)
 
-    def _partials(task: tuple[int, int, int]):
-        block_index, _, length = task
-        vals = _spectra(config.dims, _block_rng(config.seed, block_index), length)
-        out = []
+    merged: list[tuple[int, np.ndarray, np.ndarray]] | None = None
+    for vals in _blocks(config):
+        partials = []
         for fn in fns:
             x = fn(vals)
             mean = float(np.mean(x))
             m2 = float(np.sum((x - mean) ** 2))
-            out.append((length, np.float64(mean), np.float64(m2)))
-        return out
-
-    ranges = _block_ranges(config.sample_count)
-    merged: list[tuple[int, np.ndarray, np.ndarray]] | None = None
-    # pool.map yields results in submission order, so the fold below is
-    # always the in-order reduction the determinism contract requires
-    for partials in _map_blocks(ranges, _partials, nworkers):
+            partials.append((len(x), np.float64(mean), np.float64(m2)))
         if merged is None:
-            merged = list(partials)
+            merged = partials
         else:
             merged = [_merge(m, p) for m, p in zip(merged, partials)]
     assert merged is not None
@@ -241,26 +205,14 @@ def estimate_many(
     return result
 
 
-def estimate(
-    config: SamplerConfig, functional: str, workers: int | None = None
-) -> EnsembleEstimate:
+def estimate(config: SamplerConfig, functional: str) -> EnsembleEstimate:
     """Streaming mean and standard error of one spectral functional."""
-    return estimate_many(config, [functional], workers=workers)[functional]
+    return estimate_many(config, [functional])[functional]
 
 
-def rescaled_eigenvalues(
-    config: SamplerConfig, workers: int | None = None
-) -> np.ndarray:
+def rescaled_eigenvalues(config: SamplerConfig) -> np.ndarray:
     """All sampled eigenvalues times N, pooled in block order."""
-    nworkers = _resolve_workers(workers)
-
-    def _block(task: tuple[int, int, int]):
-        block_index, _, length = task
-        vals = _spectra(config.dims, _block_rng(config.seed, block_index), length)
-        return (config.dims.n * vals).ravel()
-
-    parts = list(_map_blocks(_block_ranges(config.sample_count), _block, nworkers))
-    return np.concatenate(parts)
+    return np.concatenate([(config.dims.n * vals).ravel() for vals in _blocks(config)])
 
 
 @dataclass(frozen=True)
@@ -277,13 +229,11 @@ class HistogramTable:
         ]
 
 
-def histogram_rescaled(
-    config: SamplerConfig, bins: int, workers: int | None = None
-) -> HistogramTable:
+def histogram_rescaled(config: SamplerConfig, bins: int) -> HistogramTable:
     """Histogram of mu = N*lambda over uniform bins on [0, max(4, observed))."""
     if bins < 10:
         raise ValueError(f"bins must be >= 10, got {bins}")
-    mu = rescaled_eigenvalues(config, workers=workers)
+    mu = rescaled_eigenvalues(config)
     top = max(4.0, float(mu.max()))
     edges = np.linspace(0.0, top, bins + 1)
     density, _ = np.histogram(mu, bins=edges, density=True)

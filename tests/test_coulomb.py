@@ -10,7 +10,6 @@ from typent.coulomb import (
     force_residual,
     gradient,
     hessian,
-    hessian_trace_check,
     multiplier_xi,
     solve_saddle_numeric,
     trace_inverse,
@@ -206,12 +205,3 @@ def test_solution_json_shape():
         "hessian_definite",
     }
     assert d["hessian_definite"] is True
-
-
-def test_hessian_trace_ratio_tends_to_one_for_two_levels():
-    # the printed bound is loose at small M but captures the N=2 scaling
-    report = hessian_trace_check(BipartitionDims(2, 500))
-    assert report.ratio == pytest.approx(1.0, abs=0.01)
-    small = hessian_trace_check(BipartitionDims(2, 3))
-    assert small.trace > 0.0 and small.bound > 0.0
-    assert not small.satisfied
