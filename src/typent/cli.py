@@ -179,8 +179,8 @@ def _run_isopurity(args) -> tuple[str, dict]:
     n = _parse_int(args.n, "--n")
     given = [name for name in ("purity", "beta", "eta") if getattr(args, name) is not None]
     if args.scan is not None:
-        if len(given) > 1:
-            raise ValueError("scan mode takes at most one of --purity/--beta/--eta")
+        if given:
+            raise ValueError(f"scan mode runs over eta and takes no --{given[0]}")
         parts = args.scan.split(",")
         if len(parts) != 3:
             raise ValueError("--scan wants LO,HI,COUNT over eta")

@@ -181,12 +181,9 @@ class TypicalQuantities:
             out.append(float(s))
         return out
 
-    def traces_asymptotic(self, k: int, mu: float) -> float:
-        return asymptotic_traces(k, mu)
 
-
-def typical_quantities(dims: BipartitionDims, k_max: int | None = None) -> TypicalQuantities:
-    """Typical purity and determinant; k_max only validates the s_k range.
+def typical_quantities(dims: BipartitionDims) -> TypicalQuantities:
+    """Typical purity and determinant.
 
     The purity is computed by the multiplier route, numerator and denominator
     in integer arithmetic, so it is bit-identical to (N+M-2)/(N(M-1)).
@@ -194,8 +191,6 @@ def typical_quantities(dims: BipartitionDims, k_max: int | None = None) -> Typic
     determinant_log then carries the asymptotic scale ln N! - 2N ln N instead.
     """
     n, m = dims.n, dims.m
-    if k_max is not None and not 1 <= k_max <= n:
-        raise ValueError(f"k_max must be in 1..{n}, got {k_max}")
     if n == 1:
         pur = 1.0
     else:

@@ -281,8 +281,3 @@ def pure_state(n: int) -> Spectrum:
     v[0] = 1.0
     return Spectrum(v)
 
-
-def _check_identity_purity_invariants(spectrum) -> float:
-    """|pi - (1 - 2 s_2)|, exposed for tests; should sit at rounding level."""
-    v = _as_values(spectrum)
-    return abs(purity(v) - (1.0 - 2.0 * elementary_invariants(v)[1])) if v.size > 1 else 0.0

@@ -14,9 +14,10 @@ purity.  The eta-constant term -eta * pi_target of the fixed-purity problem
 is a constant offset and is deliberately not part of E (EnergyParams carries
 no target); gradients and Hessians are unaffected.
 
-`solve_saddle_numeric` is the independent oracle: a damped projected Newton
-method on the simplex (sphere added when purity-constrained) that never looks
-at the polynomial solutions it is later compared against.
+`solve_saddle_numeric` is the independent oracle: Newton's method for the
+convex function F + eta sum lambda^2 restricted to sum lambda = 1, with eta
+fixed by the force sum rules when a (balanced) purity target is given.  It
+never looks at the polynomial solutions it is later compared against.
 
 Sign conventions: `gradient` returns dE/dlambda_i, so the balance-of-forces
 equations of the gas read gradient = 0; the Hessian off-diagonal is the true
@@ -30,6 +31,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .core import BipartitionDims, Spectrum, _as_values
 from .errors import ConvergenceError, FeasibilityError
@@ -198,86 +200,64 @@ def _is_positive_definite(h: np.ndarray) -> bool:
 
 def _start_point(n: int) -> np.ndarray:
     # maximally mixed plus 1e-3-graded, ordered, zero-sum offsets
-    if n == 1:
-        return np.array([1.0])
     return (1.0 + 1e-3 * np.linspace(-1.0, 1.0, n)) / n
 
 
-def _fit_multipliers(v, g0, constrained):
-    """Least-squares (xi, eta) minimizing |g0 + xi * 1 + 2 eta * v|."""
-    if constrained:
-        a = np.stack([np.ones(v.size), 2.0 * v], axis=1)
-    else:
-        a = np.ones((v.size, 1))
-    sol, *_ = np.linalg.lstsq(a, -g0, rcond=None)
-    xi = float(sol[0])
-    eta = float(sol[1]) if constrained else 0.0
-    return xi, eta, a
+def _trace_force(x: np.ndarray, params: EnergyParams) -> tuple[float, np.ndarray]:
+    """Trace multiplier xi = -mean(g) and the force r = g + xi left on the
+    hyperplane sum lambda = 1; r is the +inf sentinel off-domain."""
+    g = gradient(x, params)
+    if not np.all(np.isfinite(g)):
+        return 0.0, np.full(x.size, math.inf)
+    xi = -float(g.mean())
+    return xi, g + xi
 
 
-def _kkt_state(v, dims, purity_target):
-    constrained = purity_target is not None
-    g0 = gradient(v, EnergyParams(dims))  # F alone: no multiplier terms
-    xi, eta, a = _fit_multipliers(v, g0, constrained)
-    g = g0 + xi
-    if constrained:
-        g = g + 2.0 * eta * v
-    c = [float(v.sum()) - 1.0]
-    if constrained:
-        c.append(float(v @ v) - purity_target)
-    c = np.asarray(c)
-    merit = float(np.sqrt(g @ g + c @ c))
-    return g0, xi, eta, a, g, c, merit
+def solve_saddle_numeric(dims, purity_target=None) -> SaddleSolution:
+    """Find the interior minimum of the gas by equality-constrained Newton.
 
-
-def _kkt_hessian(x, dims, xi, eta):
-    # eta can be negative transiently, which EnergyParams rejects; add it by hand
-    h = hessian(x, EnergyParams(dims, eta=0.0, xi=xi))
-    h[np.diag_indices(x.size)] += 2.0 * eta
-    return h
-
-
-def _balanced_feasible(n: int, purity_target: float) -> bool:
-    """Smallest zero of the fixed-purity solution stays positive."""
-    if n == 1:
-        return purity_target == 1.0
-    return eta_from_purity(n, purity_target) > critical_threshold(n).eta_plus
-
-
-def solve_saddle_numeric(dims, purity_target=None, init=None) -> SaddleSolution:
-    """Find the interior minimum of the gas by damped projected Newton.
-
-    Independent of the polynomial route: starts at the maximally mixed point
-    (plus graded 1e-3 offsets), refits the multipliers to the current gradient
-    by least squares each iteration, solves the KKT Newton system, and damps
-    steps so iterates keep positivity and strict ordering (the +inf energy
-    wall).  Stops at force residual <= 1e-10 * max(|xi|, 1).
+    Independent of the polynomial route.  E = F + eta sum lambda^2 is convex
+    on the interior (the pair Hessian is a PSD weighted Laplacian, the
+    (M-N)/lambda^2 and 2 eta diagonals are non-negative) and strictly convex
+    whenever M > N or eta > 0, so its minimum on sum lambda = 1 is the saddle
+    point.  Starting at the maximally mixed point (plus graded 1e-3 offsets),
+    each iteration Cholesky-factors the Hessian, takes the Newton step
+    projected onto the hyperplane, and halves it until the force norm falls
+    (the gradient's +inf sentinel rejects off-domain trial points).  Stops at
+    force residual <= 1e-13 * max(|xi|, 1); ConvergenceError if the final
+    residual exceeds RESIDUAL_FACTOR * max(|xi|, 1).
 
     Balanced unconstrained problems are reduced explicitly: one charge sits
     at the origin and the rest solve the (N-1, N+1) problem.
 
-    purity_target is supported for any dims with target in (1/N, 1); the
-    contract only promises balanced dims with target in (1/N, 5/(4N)], and
-    balanced feasibility is prechecked analytically (FeasibilityError beyond
-    the threshold).
+    purity_target is supported for balanced dims only (ValueError otherwise).
+    There eta = eta_from_purity(N, target) follows from the gas's force sum
+    rules: sum_i g_i = 0 gives xi = -2 eta / N and sum_i lambda_i g_i = 0
+    gives xi + 2 eta pi = N(N-1), so the minimum has purity pi = target; the
+    purity residual is checked all the same.  Targets outside (1/N, 1] or at
+    or beyond the positivity threshold raise FeasibilityError.
     """
     n, alpha = dims.n, dims.alpha
     constrained = purity_target is not None
+    eta = 0.0
 
     if constrained:
         if not 1.0 / n < purity_target <= 1.0:
             raise FeasibilityError(
                 f"purity target {purity_target} outside (1/{n}, 1]"
             )
-        if dims.balanced and not _balanced_feasible(n, purity_target):
+        if not dims.balanced:
+            raise ValueError(
+                f"purity targets need balanced dims, got n={n}, m={dims.m}"
+            )
+        eta = eta_from_purity(n, purity_target)
+        if eta <= critical_threshold(n).eta_plus:
             raise FeasibilityError(
                 f"no interior fixed-purity solution at n={n}, target={purity_target}"
             )
 
     if dims.balanced and not constrained and n >= 2:
-        inner = solve_saddle_numeric(
-            BipartitionDims(dims.n - 1, dims.n + 1), init=None
-        )
+        inner = solve_saddle_numeric(BipartitionDims(dims.n - 1, dims.n + 1))
         values = np.concatenate((inner.spectrum.values, [0.0]))
         return SaddleSolution(
             dims=dims,
@@ -292,85 +272,60 @@ def solve_saddle_numeric(dims, purity_target=None, init=None) -> SaddleSolution:
     if n == 1:
         spectrum = Spectrum(np.array([1.0]))
         xi = float(alpha)
-        params = EnergyParams(dims, eta=0.0, xi=xi)
-        residuals = (0.0, abs(1.0 - purity_target)) if constrained else (0.0,)
         return SaddleSolution(
             dims=dims,
             spectrum=spectrum,
             xi=xi,
             eta=0.0,
-            max_force_residual=force_residual(spectrum, params),
-            constraint_residuals=residuals,
+            max_force_residual=force_residual(spectrum, EnergyParams(dims, xi=xi)),
+            constraint_residuals=(0.0,),
             hessian_definite=True,
         )
 
-    if init is not None:
-        x = np.sort(_as_values(init).astype(float))
-        if np.any(x <= 0.0):
-            raise ValueError("init must be strictly positive")
-    else:
-        x = _start_point(n)
-
-    g0, xi, eta, a, g, c, merit = _kkt_state(x, dims, purity_target)
+    params = EnergyParams(dims, eta=eta)
+    x = _start_point(n)
+    xi, r = _trace_force(x, params)
+    norm = float(np.linalg.norm(r))
     for _ in range(MAX_ITERATIONS):
-        res = float(np.max(np.abs(g)))
-        cres = float(np.max(np.abs(c)))
-        scale = max(abs(xi), 1.0)
-        if res <= 1e-13 * scale and cres <= 1e-13:
+        if float(np.max(np.abs(r))) <= 1e-13 * max(abs(xi), 1.0):
             break
-        h = _kkt_hessian(x, dims, xi, eta)
-        k = a.shape[1]
-        kkt = np.zeros((n + k, n + k))
-        kkt[:n, :n] = h
-        kkt[:n, n:] = a
-        kkt[n:, :n] = a.T
-        rhs = np.concatenate((-g, -c))
         try:
-            sol = np.linalg.solve(kkt, rhs)
-        except np.linalg.LinAlgError:
+            factor = cho_factor(hessian(x, params))
+            h_r, h_1 = cho_solve(factor, np.column_stack((r, np.ones(n)))).T
+        except LinAlgError:
             break
-        dx = sol[:n]
+        dx = h_1 * (h_r.sum() / h_1.sum()) - h_r
 
         step = 1.0
-        neg = dx < 0.0
-        if np.any(neg):
-            step = min(step, 0.95 * float(np.min(-x[neg] / dx[neg])))
-        gaps = np.diff(x)
-        dgaps = np.diff(dx)
-        closing = dgaps < 0.0
-        if np.any(closing):
-            step = min(step, 0.95 * float(np.min(-gaps[closing] / dgaps[closing])))
-
-        improved = False
         while step > 1e-14:
             x_try = x + step * dx
-            state = _kkt_state(x_try, dims, purity_target)
-            if state[-1] < merit:
-                x = x_try
-                g0, xi, eta, a, g, c, merit = state
-                improved = True
+            xi_try, r_try = _trace_force(x_try, params)
+            norm_try = float(np.linalg.norm(r_try))
+            if norm_try < norm:
+                x, xi, r, norm = x_try, xi_try, r_try, norm_try
                 break
             step *= 0.5
-        if not improved:
+        else:
             break
 
-    res = float(np.max(np.abs(g)))
-    cres = float(np.max(np.abs(c)))
-    if res > RESIDUAL_FACTOR * max(abs(xi), 1.0) or cres > 1e-10:
+    res = float(np.max(np.abs(r)))
+    residuals = [abs(float(x.sum()) - 1.0)]
+    if constrained:
+        residuals.append(abs(float(x @ x) - purity_target))
+    if res > RESIDUAL_FACTOR * max(abs(xi), 1.0) or max(residuals) > 1e-10:
         raise ConvergenceError(
             f"saddle solver stalled at force residual {res:.3e}, "
-            f"constraint residual {cres:.3e}"
+            f"constraint residual {max(residuals):.3e}"
         )
 
-    residuals = tuple(abs(float(ci)) for ci in c)
     return SaddleSolution(
         dims=dims,
         spectrum=Spectrum.from_values(x),
         xi=xi,
         eta=eta,
         max_force_residual=res,
-        constraint_residuals=residuals,
-        hessian_definite=_is_positive_definite(_kkt_hessian(x, dims, xi, eta)),
+        constraint_residuals=tuple(residuals),
+        hessian_definite=_is_positive_definite(hessian(x, params)),
     )
 
 

@@ -195,6 +195,14 @@ def test_scan_mode_csv(capsys):
     assert set(feas) <= {"true", "false"}
 
 
+@pytest.mark.parametrize("flag", [["--purity", "0.14"], ["--beta", "2"], ["--eta", "300"]])
+def test_scan_mode_rejects_target_flags(capsys, flag):
+    code, out, err = _run(capsys, "isopurity", "--n", "8", *flag, "--scan", "100,2000,3")
+    assert code == 2
+    assert out == ""
+    assert flag[0] in err
+
+
 def test_numeric_failure_exit_code(capsys, monkeypatch):
     def boom(args):
         raise ConvergenceError("did not settle")

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from typent.core import BipartitionDims
 from typent.coulomb import (
@@ -15,7 +17,13 @@ from typent.coulomb import (
     trace_inverse,
     typical_solution,
 )
-from typent.errors import FeasibilityError
+from typent.errors import ConvergenceError, FeasibilityError
+from typent.fixedpurity import (
+    IsopurityProblem,
+    critical_threshold,
+    purity_from_eta,
+    solve_isopurity,
+)
 from typent.orthopoly import LaguerreSpec, laguerre_zeros
 
 
@@ -189,6 +197,47 @@ def test_constrained_solver_rejects_unreachable_purity():
         solve_saddle_numeric(BipartitionDims(2, 2), purity_target=0.5)
     with pytest.raises(FeasibilityError):
         solve_saddle_numeric(BipartitionDims(3, 3), purity_target=1.2)
+
+
+def test_numeric_solver_single_level():
+    for m, xi in [(1, 0.0), (4, 3.0)]:
+        sol = solve_saddle_numeric(BipartitionDims(1, m))
+        assert list(sol.spectrum.values) == [1.0]
+        assert sol.xi == xi
+        assert sol.hessian_definite is True
+
+
+def test_constrained_solver_needs_balanced_dims():
+    with pytest.raises(ValueError):
+        solve_saddle_numeric(BipartitionDims(3, 7), purity_target=0.5)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 30),
+    extra=st.integers(0, 300),
+    fraction=st.one_of(st.none(), st.floats(1e-6, 1.0 - 1e-6)),
+)
+def test_numeric_solver_matches_polynomial_routes(n, extra, fraction):
+    """Unbiased dims, or a balanced purity target a fraction of the way from
+    1/N to the finite-N threshold: the oracle matches the polynomial route
+    or raises a typed error."""
+    if fraction is None:
+        dims, target = BipartitionDims(n, n + extra), None
+    else:
+        n = max(n, 2)
+        top = purity_from_eta(n, critical_threshold(n).eta_plus)
+        dims, target = BipartitionDims(n, n), 1.0 / n + fraction * (top - 1.0 / n)
+    try:
+        if target is None:
+            exact = typical_solution(dims).spectrum.values
+        else:
+            exact = solve_isopurity(IsopurityProblem.from_purity(n, target)).spectrum.values
+        numeric = solve_saddle_numeric(dims, purity_target=target)
+    except (ConvergenceError, FeasibilityError):
+        return
+    assert numeric.hessian_definite
+    assert np.max(np.abs(numeric.spectrum.values - exact)) <= 1e-9
 
 
 def test_solution_json_shape():
