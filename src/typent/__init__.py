@@ -40,7 +40,6 @@ from .coulomb import (
     hessian,
     multiplier_xi,
     solve_saddle_numeric,
-    trace_inverse,
     typical_solution,
 )
 from .errors import AccuracyError, ConvergenceError, FeasibilityError
@@ -58,7 +57,6 @@ from .orthopoly import (
     HermiteSpec,
     LaguerreSpec,
     hermite_zeros,
-    laguerre_coefficients,
     laguerre_zeros,
     tridiagonal_eigenvalues,
 )
@@ -71,9 +69,7 @@ from .sampler import (
     sample_spectrum,
 )
 from .continuum import (
-    CanonicalPotential,
     ContinuumDensity,
-    canonical_energy_scaling_check,
     density_value,
     finite_n_convergence,
     ks_distance,

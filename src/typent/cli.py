@@ -26,6 +26,8 @@ from .errors import AccuracyError, ConvergenceError, FeasibilityError
 
 __all__ = ["main"]
 
+_FORMATS = ("json", "csv")
+
 _CONFIG_CASTS = {
     "n": str,
     "m": int,
@@ -166,7 +168,8 @@ def _run_typical(args) -> tuple[str, dict]:
         "determinant_log": typ.determinant_log,
     }
     if dims.m > dims.n:
-        payload["trace_inverse_formula"] = dims.n**2 * (dims.m - 1) / (dims.m - dims.n)
+        inverse = closedform.trace_inverse_exact(dims.n, dims.m)
+        payload["trace_inverse_formula"] = float(inverse)
         payload["trace_inverse_recomputed"] = float(np.sum(1.0 / values))
     payload["oracle_residual"] = float(
         np.max(np.abs(numeric.spectrum.values - values))
@@ -177,6 +180,8 @@ def _run_typical(args) -> tuple[str, dict]:
 def _run_isopurity(args) -> tuple[str, dict]:
     _require(args, "n")
     n = _parse_int(args.n, "--n")
+    if n < 2:
+        raise ValueError(f"n must be >= 2, got {n}")
     given = [name for name in ("purity", "beta", "eta") if getattr(args, name) is not None]
     if args.scan is not None:
         if given:
@@ -351,7 +356,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--format", choices=("json", "csv"), default=None)
+        p.add_argument("--format", choices=_FORMATS, default=None)
         p.add_argument("--output", default=None, help="write here instead of stdout")
         p.add_argument("--config", default=None, help="key=value defaults file")
 
@@ -405,8 +410,11 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         args = _apply_config(args)
-        kind, payload = _HANDLERS[args.command](args)
         fmt = args.format if args.format is not None else "json"
+        if fmt not in _FORMATS:
+            # a config file bypasses argparse choices
+            raise ValueError(f"format must be one of {_FORMATS}, got {fmt!r}")
+        kind, payload = _HANDLERS[args.command](args)
         text = _render(kind, payload, _config_echo(args), fmt)
         if args.output is not None:
             with open(args.output, "w", encoding="utf-8") as fh:

@@ -31,8 +31,6 @@ __all__ = [
     "typical_quantities",
     "asymptotic_traces",
     "balanced_det_asymptotic",
-    "mean_purity_large_n",
-    "sigma_rms_large_n",
     "typical_purity_multiplier_exact",
     "typical_purity_vieta_exact",
     "invariant_s_exact",
@@ -88,16 +86,6 @@ def mean_moments(dims: BipartitionDims) -> EnsembleMoments:
         mean_entropy=entropy,
         normalization_log=log_normalization(dims),
     )
-
-
-def mean_purity_large_n(n: int, mu: float) -> float:
-    """Large-N mean purity (2+mu)/((1+mu) N) at aspect ratio mu = (M-N)/N."""
-    return (2.0 + mu) / ((1.0 + mu) * n)
-
-
-def sigma_rms_large_n(n: int, mu: float) -> float:
-    """Large-N eigenvalue rms width 1/(N sqrt(1+mu))."""
-    return 1.0 / (n * math.sqrt(1.0 + mu))
 
 
 def _log_invariant_s(n: int, m: int, k: int) -> float:
@@ -290,11 +278,8 @@ def formula_table(dims: BipartitionDims, k_max: int | None = None) -> list[Formu
         ),
     ]
     if m > n:
-        rows.append(
-            FormulaRow(
-                "trace_inverse", n, m, n * n * (m - 1) / (m - n), "N^2*(M-1)/(M-N)"
-            )
-        )
+        inv = float(trace_inverse_exact(n, m))
+        rows.append(FormulaRow("trace_inverse", n, m, inv, "N^2*(M-1)/(M-N)"))
     for k in range(1, k_max + 1):
         rows.append(
             FormulaRow(

@@ -3,7 +3,10 @@
 Two closed-form families: the shifted semicircle for inverse temperature
 beta >= 2 (support 1 +- sqrt(2/beta)) and the Marchenko-Pastur law on
 (0, 4) for beta = 0.  The interpolating 0 < beta < 2 branch has no closed
-form here and is out of scope.
+form here and is out of scope.  The inverse temperature beta is the
+rescaled stiffness eta / N^3 of the balanced fixed-purity problem
+(IsopurityProblem.beta); finite_n_convergence measures how fast its
+rescaled spectrum approaches the semicircle.
 
 The singular integral machinery checks that each density actually solves
 its force-balance equation
@@ -23,15 +26,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .core import Spectrum
 from .errors import AccuracyError, FeasibilityError
 from .fixedpurity import IsopurityProblem, solve_isopurity
 
 __all__ = [
     "ContinuumDensity",
-    "CanonicalPotential",
     "ConvergenceRow",
-    "ScalingReport",
     "semicircle",
     "marchenko_pastur",
     "density_value",
@@ -41,7 +41,6 @@ __all__ = [
     "ks_distance",
     "tricomi_residual",
     "finite_n_convergence",
-    "canonical_energy_scaling_check",
 ]
 
 BETA_CRITICAL = 2.0
@@ -253,66 +252,3 @@ def finite_n_convergence(n_list, beta: float) -> list[ConvergenceRow]:
             raise FeasibilityError(f"eta = {beta}*{n}^3 is below threshold")
         rows.append(ConvergenceRow(n=n, ks_distance=ks_distance(n * sol.values, d)))
     return rows
-
-
-@dataclass(frozen=True)
-class ScalingReport:
-    """N^3 * purity against its extensive scale N^2 * (1 + 1/(2 beta))."""
-
-    n: int
-    beta: float
-    energy: float
-    extensive_scale: float
-    ratio: float
-    within_bounds: bool
-
-
-def canonical_energy_scaling_check(n: int, beta: float) -> ScalingReport:
-    if beta <= 0:
-        raise ValueError(f"beta must be > 0, got {beta}")
-    sol = solve_isopurity(IsopurityProblem.from_eta(n, beta * n**3))
-    if not sol.feasible:
-        raise FeasibilityError(f"eta = {beta}*{n}^3 is below threshold")
-    pur = float(np.sum(sol.values**2))
-    energy = n**3 * pur
-    scale = n**2 * (1.0 + 1.0 / (2.0 * beta))
-    ratio = energy / scale
-    return ScalingReport(
-        n=n,
-        beta=float(beta),
-        energy=energy,
-        extensive_scale=scale,
-        ratio=ratio,
-        within_bounds=0.5 <= ratio <= 2.0,
-    )
-
-
-@dataclass(frozen=True)
-class CanonicalPotential:
-    """Per-particle confining potential in rescaled variables.
-
-    The multipliers map to the finite-N ones by eta = beta n^3 and
-    xi = zeta n^2, which makes n * sum_i value(n lambda_i) equal the
-    constraint part eta sum lambda^2 + xi sum lambda exactly.
-    """
-
-    beta: float
-    zeta: float
-    n: int
-
-    @property
-    def eta(self) -> float:
-        return self.beta * self.n**3
-
-    @property
-    def xi(self) -> float:
-        return self.zeta * self.n**2
-
-    def value(self, mu):
-        mu = np.asarray(mu, dtype=float)
-        return self.beta * mu * mu + self.zeta * mu
-
-    def microcanonical_energy(self, spectrum: Spectrum | np.ndarray) -> float:
-        """n * sum of value(n lambda_i); equals eta*sum(l^2) + xi*sum(l)."""
-        values = spectrum.values if isinstance(spectrum, Spectrum) else np.asarray(spectrum)
-        return float(self.n * np.sum(self.value(self.n * values)))

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import enum
 import json
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -109,7 +108,7 @@ class Spectrum:
         if np.any(np.diff(values) > 0.0):
             raise ValueError("spectrum must be sorted in non-increasing order")
         total = values.sum()
-        if abs(total - 1.0) > SUM_TOL:
+        if not abs(total - 1.0) <= SUM_TOL:  # also rejects nan entries
             raise ValueError(f"spectrum sums to {total!r}, expected 1 within {SUM_TOL}")
         values = values.copy()
         values.flags.writeable = False

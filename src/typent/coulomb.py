@@ -48,7 +48,6 @@ __all__ = [
     "solve_saddle_numeric",
     "typical_solution",
     "multiplier_xi",
-    "trace_inverse",
 ]
 
 MAX_ITERATIONS = 500
@@ -178,13 +177,6 @@ def force_residual(spectrum, params: EnergyParams) -> float:
 def multiplier_xi(dims: BipartitionDims) -> int:
     """Trace multiplier of the unbiased gas, N(M-1), exact."""
     return dims.n * (dims.m - 1)
-
-
-def trace_inverse(dims: BipartitionDims) -> float:
-    """tr(rho^-1) at the typical spectrum, N^2 (M-1)/(M-N); diverges if M = N."""
-    if dims.m == dims.n:
-        raise ValueError("trace of the inverse diverges for balanced dimensions")
-    return dims.n**2 * (dims.m - 1) / (dims.m - dims.n)
 
 
 def _is_positive_definite(h: np.ndarray) -> bool:

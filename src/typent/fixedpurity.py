@@ -4,7 +4,11 @@ For balanced dimensions (M = N) the most probable spectrum at fixed purity
 pi solves a force balance with two multipliers; its eigenvalues are the
 zeros of a Hermite polynomial mapped by x -> sqrt(eta) (x - 1/N), where
 
-    eta = N^2 (N - 1) / (2 (N pi - 1)),      xi = -2 eta / N.
+    eta = N^2 (N - 1) / (2 (N pi - 1)),      xi = -2 eta / N,
+
+so the multipliers obey the sum rule xi + 2 eta pi = N(N - 1).  The mapped
+zeros are stationary points of the Coulomb-gas energy at (eta, xi), which
+is how this route and the gas check each other (coulomb.force_residual).
 
 The construction stays meaningful past the point where the smallest zero
 crosses 0 (the spectrum simply stops being a spectrum).  That crossing, the
@@ -26,14 +30,11 @@ __all__ = [
     "IsopurityProblem",
     "FixedPuritySolution",
     "CriticalThreshold",
-    "MultiplierReport",
     "ScanRow",
     "eta_from_purity",
     "purity_from_eta",
-    "position_variance",
     "solve_isopurity",
     "critical_threshold",
-    "multiplier_relation_check",
     "threshold_scan",
 ]
 
@@ -56,11 +57,6 @@ def purity_from_eta(n: int, eta: float) -> float:
     if eta <= 0:
         raise ValueError(f"eta must be > 0, got {eta}")
     return 1.0 / n + n * (n - 1) / (2.0 * eta)
-
-
-def position_variance(n: int, purity: float) -> float:
-    """Per-position eigenvalue variance (pi - 1/N)/N implied by purity pi."""
-    return (purity - 1.0 / n) / n
 
 
 @dataclass(frozen=True)
@@ -181,46 +177,6 @@ def critical_threshold(n: int) -> CriticalThreshold:
         purity_plus_finite=purity_from_eta(n, eta_plus),
         beta_plus=2.0,
         purity_critical=5.0 / (4.0 * n),
-    )
-
-
-@dataclass(frozen=True)
-class MultiplierReport:
-    """Closure checks for a solved isopurity problem: the multiplier sum
-    rule xi + 2 eta pi = N(N-1) and the stationarity residual, both
-    relative to max(|xi|, 1)."""
-
-    sum_rule_residual: float
-    force_residual: float
-    tolerance: float
-
-    @property
-    def ok(self) -> bool:
-        return (
-            self.sum_rule_residual <= self.tolerance
-            and self.force_residual <= self.tolerance
-        )
-
-
-def multiplier_relation_check(
-    problem: IsopurityProblem,
-    solution: FixedPuritySolution,
-    tolerance: float = 1e-8,
-) -> MultiplierReport:
-    from .coulomb import EnergyParams, gradient
-
-    if not solution.feasible:
-        raise FeasibilityError("multiplier check needs a feasible solution")
-    scale = max(abs(problem.xi), 1.0)
-    pi_actual = float(np.sum(solution.values**2))
-    sum_rule = abs(problem.xi + 2.0 * problem.eta * pi_actual - problem.n * (problem.n - 1))
-    params = EnergyParams(dims=problem.dims, eta=problem.eta, xi=problem.xi)
-    g = gradient(solution.values, params)
-    force = float(np.max(np.abs(g)))
-    return MultiplierReport(
-        sum_rule_residual=sum_rule / scale,
-        force_residual=force / scale,
-        tolerance=tolerance,
     )
 
 

@@ -1,4 +1,4 @@
-"""Zeros and coefficients of scaled Laguerre and Hermite polynomials.
+"""Zeros of scaled Laguerre and Hermite polynomials.
 
 The typical entanglement spectra computed elsewhere in this package are the
 zeros of L_N^(a)(xi * x) (unbalanced, unconstrained) and of H_N(s * (x - b))
@@ -6,7 +6,8 @@ zeros of L_N^(a)(xi * x) (unbalanced, unconstrained) and of H_N(s * (x - b))
 of the symmetric tridiagonal Jacobi matrix of the family, here computed by
 LAPACK ?stemr (through scipy), then polished by a single Newton step using
 three-term recurrences run over all zeros at once.  Polynomials are never
-evaluated through their expanded coefficients; the recurrences carry a joint
+evaluated through their expanded coefficients (closedform holds those as
+exact rationals for the Vieta cross-checks); the recurrences carry a joint
 rescaling of each zero's value pair so degrees in the thousands stay inside
 floating-point range.
 
@@ -34,8 +35,6 @@ __all__ = [
     "hermite_jacobi",
     "laguerre_zeros",
     "hermite_zeros",
-    "laguerre_coefficients",
-    "laguerre_log_coefficients",
     "laguerre_relative_residuals",
     "hermite_relative_residuals",
 ]
@@ -227,43 +226,3 @@ def hermite_relative_residuals(spec: HermiteSpec, zeros_x) -> np.ndarray:
     """
     y = spec.scale * (np.asarray(zeros_x, dtype=float) - spec.shift)
     return np.abs(_hermite_newton_step(spec.degree, y)) / np.maximum(np.abs(y), 1.0)
-
-
-def laguerre_log_coefficients(spec: LaguerreSpec) -> np.ndarray:
-    """ln c_nu, nu = 0..N, of L_N^(a)(xi x) = sum_nu c_nu (-x)^nu.
-
-    With m = a + N + 1 (a real stand-in for the larger dimension),
-    c_nu = xi^nu / nu! * C(m - 1, N - nu); all c_nu are positive, so logs
-    are well defined.  Log-gamma arithmetic keeps degree-500 inputs exact
-    to the usual ~1e-14 relative level.
-    """
-    n, a, xi = spec.degree, spec.order, spec.scale
-    m = a + n + 1.0
-    nu = np.arange(n + 1, dtype=float)
-    lg = math.lgamma
-    logs = np.empty(n + 1)
-    for i, v in enumerate(nu):
-        logs[i] = (
-            v * math.log(xi)
-            - lg(v + 1.0)
-            + lg(m)
-            - lg(n - v + 1.0)
-            - lg(m - n + v)
-        )
-    return logs
-
-
-def laguerre_coefficients(spec: LaguerreSpec) -> np.ndarray:
-    """Coefficients c_0..c_N with L_N^(a)(xi x) = sum_nu c_nu (-x)^nu.
-
-    Vieta on the expansion ties c_{N-1}/c_N to the zero sum; tests hold that
-    to 1e-10 relative.  Raises OverflowError when any coefficient exceeds
-    the double range; use laguerre_log_coefficients for those inputs.
-    """
-    logs = laguerre_log_coefficients(spec)
-    if np.max(logs) > math.log(np.finfo(float).max):
-        raise OverflowError(
-            "coefficient exponent exceeds double range; "
-            "use laguerre_log_coefficients instead"
-        )
-    return np.exp(logs)

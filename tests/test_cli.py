@@ -65,6 +65,11 @@ def test_isopurity_exit_codes(capsys):
         capsys, "isopurity", "--n", "2", "--purity", "0.7", "--eta", "9.0"
     )
     assert code == 2
+    # sizes below 2 are usage errors whichever target is given
+    for n, purity in (("0", "0.5"), ("1", "1")):
+        code, _, err = _run(capsys, "isopurity", "--n", n, "--purity", purity)
+        assert code == 2
+        assert "n must be >= 2" in err
 
 
 def test_sample_report(capsys):
@@ -181,6 +186,16 @@ def test_config_file_defaults_and_precedence(tmp_path, capsys):
     assert code == 2
     code, _, err = _run(capsys, "sample", "--config", str(tmp_path / "nope.cfg"))
     assert code == 2
+
+
+@pytest.mark.parametrize("fmt", ["xml", "JSON"])
+def test_config_file_format_outside_choices_is_usage_error(tmp_path, capsys, fmt):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"format={fmt}\n")
+    code, out, err = _run(capsys, "typical", "--n", "2", "--m", "3", "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert repr(fmt) in err
 
 
 def test_scan_mode_csv(capsys):

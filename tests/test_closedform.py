@@ -12,8 +12,6 @@ from typent.closedform import (
     invariant_s_exact,
     log_normalization,
     mean_moments,
-    mean_purity_large_n,
-    sigma_rms_large_n,
     trace_inverse_exact,
     typical_purity_multiplier_exact,
     typical_purity_vieta_exact,
@@ -133,10 +131,9 @@ def test_large_n_helpers_approach_finite_formulas():
         n = 400
         m = int(round(n * (1.0 + mu)))
         mean = mean_moments(BipartitionDims(n, m))
-        assert mean_purity_large_n(n, mu) == pytest.approx(
+        assert asymptotic_traces(2, mu) / n == pytest.approx(
             mean.mean_purity, rel=5e-3
         )
-        assert sigma_rms_large_n(n, mu) == pytest.approx(mean.sigma_rms, rel=5e-3)
 
 
 def test_asymptotic_trace_coefficients():

@@ -5,9 +5,7 @@ import pytest
 from scipy import integrate
 
 from typent.continuum import (
-    CanonicalPotential,
     cdf_value,
-    canonical_energy_scaling_check,
     density_grid,
     density_value,
     finite_n_convergence,
@@ -17,8 +15,6 @@ from typent.continuum import (
     semicircle,
     tricomi_residual,
 )
-from typent.errors import FeasibilityError
-from typent.fixedpurity import IsopurityProblem, solve_isopurity
 
 
 def test_semicircle_constructor():
@@ -146,39 +142,6 @@ def test_finite_n_convergence_validation():
         finite_n_convergence([16, 8], 2.0)
     with pytest.raises(ValueError):
         finite_n_convergence([8, 8], 2.0)
-
-
-def test_scaling_check_near_one():
-    rep = canonical_energy_scaling_check(64, 2.0)
-    assert rep.within_bounds
-    assert 0.6 <= rep.ratio <= 1.9
-    rep128 = canonical_energy_scaling_check(128, 4.0)
-    assert abs(rep128.ratio - 1.0) < 0.02
-    # huge stiffness pins every eigenvalue at 1/n: energy -> n^2 exactly
-    huge = canonical_energy_scaling_check(32, 1e6)
-    assert huge.ratio == pytest.approx(1.0, rel=1e-5)
-
-
-def test_scaling_check_validation():
-    with pytest.raises(ValueError):
-        canonical_energy_scaling_check(16, 0.0)
-    with pytest.raises(FeasibilityError):
-        canonical_energy_scaling_check(16, 0.5)
-
-
-def test_canonical_potential_identity():
-    n, beta, zeta = 6, 3.0, -2.0
-    pot = CanonicalPotential(beta=beta, zeta=zeta, n=n)
-    assert pot.eta == pytest.approx(beta * n**3)
-    assert pot.xi == pytest.approx(zeta * n**2)
-    sol = solve_isopurity(IsopurityProblem.from_eta(n, pot.eta))
-    v = sol.spectrum.values
-    finite_n = pot.eta * float(v @ v) + pot.xi * float(v.sum())
-    assert pot.microcanonical_energy(sol.spectrum) == pytest.approx(
-        finite_n, rel=1e-12
-    )
-    assert pot.value(0.0) == 0.0
-    assert pot.value(2.0) == pytest.approx(4.0 * beta + 2.0 * zeta)
 
 
 def test_density_grid_shapes():

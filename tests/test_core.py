@@ -45,6 +45,15 @@ def test_spectrum_validation_and_clamp():
         Spectrum.from_values([0.6, 0.3])
     with pytest.raises(ValueError):
         Spectrum(np.array([0.25, 0.75]))
+    # nan makes every comparison False, so it must not slip past the sum check
+    for build in (
+        lambda: Spectrum(np.array([np.nan])),
+        lambda: Spectrum([0.5, np.nan, 0.5]),
+        lambda: Spectrum.from_json("[NaN]"),
+        lambda: Spectrum.from_values([0.6, np.nan, 0.4]),
+    ):
+        with pytest.raises(ValueError):
+            build()
 
 
 def test_spectrum_json_round_trip_is_exact():

@@ -14,7 +14,6 @@ from typent.coulomb import (
     hessian,
     multiplier_xi,
     solve_saddle_numeric,
-    trace_inverse,
     typical_solution,
 )
 from typent.errors import ConvergenceError, FeasibilityError
@@ -134,10 +133,6 @@ def test_hessian_diagonal_dominance_at_typical_solution():
 def test_multiplier_and_trace_formulas():
     assert multiplier_xi(BipartitionDims(4, 8)) == 28
     assert multiplier_xi(BipartitionDims(2, 3)) == 4
-    assert trace_inverse(BipartitionDims(2, 4)) == pytest.approx(6.0)
-    assert trace_inverse(BipartitionDims(2, 3)) == pytest.approx(8.0)
-    with pytest.raises(ValueError):
-        trace_inverse(BipartitionDims(3, 3))
 
 
 def test_numeric_solver_agrees_with_laguerre_route():

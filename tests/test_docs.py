@@ -1,0 +1,63 @@
+"""The README's examples run as written, and every module's __all__ resolves."""
+
+import importlib
+import re
+import shlex
+from pathlib import Path
+
+import pytest
+
+from typent import cli
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+
+MODULES = [
+    "closedform",
+    "cli",
+    "continuum",
+    "core",
+    "coulomb",
+    "fixedpurity",
+    "orthopoly",
+    "sampler",
+]
+
+
+def _fenced_block(heading: str, lang: str) -> str:
+    section = README.split(f"## {heading}\n", 1)[1].split("\n## ", 1)[0]
+    match = re.search(rf"```{lang}\n(.*?)```", section, re.DOTALL)
+    assert match is not None, f"no {lang} block under {heading!r}"
+    return match.group(1)
+
+
+COMMANDS = [
+    line
+    for line in _fenced_block("Command line", "sh").splitlines()
+    if line.startswith("typent ")
+]
+
+
+def test_readme_shows_every_subcommand():
+    assert {shlex.split(line)[1] for line in COMMANDS} == set(cli._HANDLERS)
+
+
+@pytest.mark.parametrize("line", COMMANDS)
+def test_readme_command_runs(line, capsys):
+    code = cli.main(shlex.split(line)[1:])
+    err = capsys.readouterr().err
+    assert code == 0, err
+
+
+def test_readme_library_example_runs(capsys):
+    exec(compile(_fenced_block("Library example", "python"), "README.md", "exec"), {})
+    assert "+/-" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_star_import_and_all_entries(name):
+    module = importlib.import_module(f"typent.{name}")
+    missing = [entry for entry in module.__all__ if not hasattr(module, entry)]
+    assert missing == []
+    namespace = {}
+    exec(f"from typent.{name} import *", namespace)
+    assert set(module.__all__) <= set(namespace)

@@ -1,17 +1,13 @@
-import math
-
 import numpy as np
 import pytest
 
 from typent.core import BipartitionDims
-from typent.coulomb import solve_saddle_numeric
+from typent.coulomb import EnergyParams, force_residual, solve_saddle_numeric
 from typent.errors import FeasibilityError
 from typent.fixedpurity import (
     IsopurityProblem,
     critical_threshold,
     eta_from_purity,
-    multiplier_relation_check,
-    position_variance,
     purity_from_eta,
     solve_isopurity,
     threshold_scan,
@@ -145,27 +141,16 @@ def test_critical_threshold_consistency():
 
 
 def test_multiplier_relation_holds():
+    # the Hermite route is a stationary point of the Coulomb-gas energy at
+    # the problem's own multipliers, which obey xi + 2 eta pi = N(N-1)
     for n, purity in [(3, 0.4), (2, 0.625), (7, 0.16)]:
         problem = IsopurityProblem.from_purity(n, purity)
-        report = multiplier_relation_check(problem, solve_isopurity(problem))
-        assert report.ok
-        assert report.sum_rule_residual <= report.tolerance
-        assert report.force_residual <= report.tolerance
-
-
-def test_multiplier_relation_infeasible_raises():
-    problem = IsopurityProblem.from_purity(6, 0.9)
-    with pytest.raises(FeasibilityError):
-        multiplier_relation_check(problem, solve_isopurity(problem))
-
-
-def test_position_variance_identity():
-    for n, purity in [(2, 0.625), (4, 0.3)]:
-        problem = IsopurityProblem.from_purity(n, purity)
-        sol = solve_isopurity(problem)
-        v = sol.spectrum.values
-        empirical = float(np.mean((v - 1.0 / n) ** 2))
-        assert position_variance(n, purity) == pytest.approx(empirical, rel=1e-10)
+        v = solve_isopurity(problem).spectrum.values
+        tol = 1e-8 * max(abs(problem.xi), 1.0)
+        sum_rule = problem.xi + 2.0 * problem.eta * float(v @ v) - n * (n - 1)
+        assert abs(sum_rule) <= tol
+        params = EnergyParams(problem.dims, eta=problem.eta, xi=problem.xi)
+        assert force_residual(v, params) <= tol
 
 
 def test_threshold_scan_rows():

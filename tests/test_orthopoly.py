@@ -12,9 +12,7 @@ from typent.orthopoly import (
     hermite_relative_residuals,
     hermite_zeros,
     hermite_jacobi,
-    laguerre_coefficients,
     laguerre_jacobi,
-    laguerre_log_coefficients,
     laguerre_relative_residuals,
     laguerre_zeros,
     tridiagonal_eigenvalues,
@@ -178,27 +176,6 @@ def test_polished_residuals_meet_contract():
     hspec = HermiteSpec(degree=48, shift=0.25, scale=30.0)
     hres = hermite_relative_residuals(hspec, hermite_zeros(hspec))
     assert np.max(hres) <= 1e-12
-
-
-def test_laguerre_coefficients_small_case():
-    # expansion of L_2^(0)(4x) in powers of (-x): coefficients (1, 8, 8)
-    spec = LaguerreSpec(degree=2, order=0.0, scale=4.0)
-    assert laguerre_coefficients(spec) == pytest.approx([1.0, 8.0, 8.0], rel=1e-14)
-
-
-def test_vieta_sum_rule():
-    for n, a, xi in [(2, 0.0, 4.0), (5, 3.0, 40.0), (9, 1.0, 90.0)]:
-        spec = LaguerreSpec(degree=n, order=a, scale=xi)
-        c = laguerre_coefficients(spec)
-        zeros = laguerre_zeros(spec)
-        assert c[n - 1] / c[n] == pytest.approx(zeros.sum(), rel=1e-10)
-
-
-def test_log_coefficients_survive_large_degree():
-    logs = laguerre_log_coefficients(LaguerreSpec(degree=500, order=10.0, scale=5000.0))
-    assert logs.size == 501 and np.all(np.isfinite(logs))
-    with pytest.raises(OverflowError):
-        laguerre_coefficients(LaguerreSpec(degree=500, order=10.0, scale=5000.0))
 
 
 def test_smallest_hermite_zero_oracle_at_200():
