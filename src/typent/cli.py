@@ -190,6 +190,9 @@ def _run_isopurity(args) -> tuple[str, dict]:
         if len(parts) != 3:
             raise ValueError("--scan wants LO,HI,COUNT over eta")
         lo, hi = float(parts[0]), float(parts[1])
+        for name, bound in (("LO", lo), ("HI", hi)):
+            if not math.isfinite(bound):
+                raise ValueError(f"--scan {name} must be finite, got {bound}")
         count = _parse_int(parts[2], "--scan count")
         if not 0 < lo < hi or count < 2:
             raise ValueError("--scan wants 0 < LO < HI and COUNT >= 2")

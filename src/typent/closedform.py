@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import digamma, gammaln
 
 from .core import BipartitionDims
 
@@ -42,6 +41,8 @@ __all__ = [
 
 def log_normalization(dims: BipartitionDims) -> float:
     """ln C_{N,M} via log-gamma."""
+    from scipy.special import gammaln
+
     n, m = dims.n, dims.m
     j = np.arange(1, n + 1)
     return float(gammaln(n * m) - np.sum(gammaln(m - j + 1) + gammaln(n - j + 2)))
@@ -74,6 +75,8 @@ class EnsembleMoments:
 
 def mean_moments(dims: BipartitionDims) -> EnsembleMoments:
     """Mean eigenvalue, Lubkin rms width, mean purity, and the Page entropy."""
+    from scipy.special import digamma
+
     n, m = dims.n, dims.m
     sigma = math.sqrt((1.0 - 1.0 / n**2) / (m * n + 1))
     # sum_{k=M+1}^{NM} 1/k written as a digamma difference

@@ -1,9 +1,11 @@
 """Large-N equilibrium densities of the rescaled spectrum mu = N*lambda.
 
 Two closed-form families: the shifted semicircle for inverse temperature
-beta >= 2 (support 1 +- sqrt(2/beta)) and the Marchenko-Pastur law on
-(0, 4) for beta = 0.  The interpolating 0 < beta < 2 branch has no closed
-form here and is out of scope.  The inverse temperature beta is the
+beta >= 2 (support 1 +- sqrt(2/beta)) and, at beta = 0, the
+Marchenko-Pastur law MP(c) of the unbiased ensemble with ratio c = N/M,
+support ((1 - sqrt c)^2, (1 + sqrt c)^2) (the square case c = 1 is (0, 4),
+with a hard edge at 0).  The interpolating 0 < beta < 2 branch has no
+closed form here and is out of scope.  The inverse temperature beta is the
 rescaled stiffness eta / N^3 of the balanced fixed-purity problem
 (IsopurityProblem.beta); finite_n_convergence measures how fast its
 rescaled spectrum approaches the semicircle.
@@ -24,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import AccuracyError, FeasibilityError
 from .fixedpurity import IsopurityProblem, solve_isopurity
@@ -38,6 +39,7 @@ __all__ = [
     "density_grid",
     "moments",
     "cdf_value",
+    "quantiles",
     "ks_distance",
     "tricomi_residual",
     "finite_n_convergence",
@@ -50,17 +52,21 @@ _QUAD_ACCEPT = 1e-9
 
 @dataclass(frozen=True)
 class ContinuumDensity:
+    """A continuum law; ratio is c = N/M for Marchenko-Pastur and 1 for the
+    (balanced) semicircle family."""
+
     kind: str
     beta: float
     support: tuple[float, float]
     rescaled_purity: float
+    ratio: float = 1.0
 
 
 def semicircle(beta: float) -> ContinuumDensity:
-    """Semicircle density at inverse temperature beta >= 2."""
-    if beta < BETA_CRITICAL:
+    """Semicircle density at finite inverse temperature beta >= 2."""
+    if not BETA_CRITICAL <= beta < math.inf:
         raise ValueError(
-            f"semicircle family needs beta >= {BETA_CRITICAL}, got {beta}"
+            f"semicircle family needs finite beta >= {BETA_CRITICAL}, got {beta}"
         )
     half_width = math.sqrt(BETA_CRITICAL / beta)
     return ContinuumDensity(
@@ -71,33 +77,44 @@ def semicircle(beta: float) -> ContinuumDensity:
     )
 
 
-def marchenko_pastur() -> ContinuumDensity:
-    """Square-case Marchenko-Pastur density, the beta = 0 end of the family."""
+def marchenko_pastur(ratio: float = 1.0) -> ContinuumDensity:
+    """Marchenko-Pastur density MP(c), c = N/M in (0, 1], the beta = 0 end of
+    the family: sqrt((b - mu)(mu - a)) / (2 pi c mu) on (a, b) =
+    ((1 - sqrt c)^2, (1 + sqrt c)^2), mean 1, second moment 1 + c."""
+    if not 0.0 < ratio <= 1.0:
+        raise ValueError(f"Marchenko-Pastur ratio must lie in (0, 1], got {ratio}")
+    root = math.sqrt(ratio)
     return ContinuumDensity(
-        kind="marchenko_pastur", beta=0.0, support=(0.0, 4.0), rescaled_purity=2.0
+        kind="marchenko_pastur",
+        beta=0.0,
+        support=((1.0 - root) ** 2, (1.0 + root) ** 2),
+        rescaled_purity=1.0 + ratio,
+        ratio=float(ratio),
     )
 
 
 def density_value(d: ContinuumDensity, mu: float) -> float:
-    """Density at mu; 0 outside support, +inf at the MP hard edge mu = 0."""
+    """Density at mu; 0 outside support, +inf at the MP(1) hard edge mu = 0."""
     a, b = d.support
     if d.kind == "semicircle":
         if mu <= a or mu >= b:
             return 0.0
         return d.beta / math.pi * math.sqrt((mu - a) * (b - mu))
-    if mu == 0.0:
+    if mu == a == 0.0:
         return math.inf
-    if mu < 0.0 or mu >= 4.0:
+    if mu <= a or mu >= b:
         return 0.0
-    return math.sqrt((4.0 - mu) / mu) / (2.0 * math.pi)
+    # (mu - a)/mu is exactly 1 at c = 1, so MP(1) keeps sqrt((4 - mu)/mu)/(2 pi)
+    return math.sqrt((b - mu) / mu * ((mu - a) / mu)) / (2.0 * math.pi * d.ratio)
 
 
 def _density_slope(d: ContinuumDensity, mu: float) -> float:
     """Analytic sigma'(mu) strictly inside the support."""
     a, b = d.support
+    root = math.sqrt((mu - a) * (b - mu))
     if d.kind == "semicircle":
-        return d.beta / math.pi * (a + b - 2.0 * mu) / (2.0 * math.sqrt((mu - a) * (b - mu)))
-    return -1.0 / (math.pi * math.sqrt(4.0 - mu) * mu**1.5)
+        return d.beta / math.pi * (a + b - 2.0 * mu) / (2.0 * root)
+    return (2.0 * a * b - (a + b) * mu) / (4.0 * math.pi * d.ratio * mu * mu * root)
 
 
 def density_grid(d: ContinuumDensity, points: int = 512) -> tuple[np.ndarray, np.ndarray]:
@@ -116,6 +133,15 @@ def density_grid(d: ContinuumDensity, points: int = 512) -> tuple[np.ndarray, np
     return xs, ys
 
 
+def quad(f, a: float, b: float, **kw):
+    """scipy.integrate.quad, imported on first use so that `import typent`
+    does not load scipy.integrate; a module attribute so that perfbench's
+    tracer can wrap it."""
+    from scipy.integrate import quad as scipy_quad
+
+    return scipy_quad(f, a, b, **kw)
+
+
 def _quad_checked(f, a: float, b: float, what: str, **kw) -> float:
     val, err = quad(f, a, b, epsabs=_QUAD_TARGET, epsrel=_QUAD_TARGET, limit=200, **kw)
     if err > _QUAD_ACCEPT * max(1.0, abs(val)):
@@ -128,35 +154,50 @@ def _quad_checked(f, a: float, b: float, what: str, **kw) -> float:
 
 
 def moments(d: ContinuumDensity) -> tuple[float, float, float]:
-    """(mass, mean, second moment) by endpoint-weighted adaptive quadrature.
+    """(mass, mean, second moment) by adaptive quadrature.
 
-    Both densities are smooth prefactors times algebraic endpoint weights,
-    so the integrals are delegated to the weighted rule exactly.
+    The semicircle is a constant times the algebraic endpoint weight
+    sqrt((mu - a)(b - mu)), delegated to the weighted rule exactly.  MP(c)
+    is integrated in the angle of mu = b cos^2(t/2) + a sin^2(t/2), where
+    sigma(mu) dmu = (2/pi) sin^2(t) / mu dt is smooth on [0, pi] for every
+    ratio, the hard edge of c = 1 included.
     """
     a, b = d.support
-    if d.kind == "semicircle":
-        coeff = d.beta / math.pi
-        wvar = (0.5, 0.5)
-    else:
-        coeff = 1.0 / (2.0 * math.pi)
-        wvar = (-0.5, 0.5)
     out = []
     for k in range(3):
-        out.append(
-            _quad_checked(
-                lambda x: coeff * x**k,
-                a,
-                b,
-                f"moment {k} of {d.kind}",
-                weight="alg",
-                wvar=wvar,
+        what = f"moment {k} of {d.kind}"
+        if d.kind == "semicircle":
+            out.append(
+                _quad_checked(
+                    lambda x: d.beta / math.pi * x**k,
+                    a,
+                    b,
+                    what,
+                    weight="alg",
+                    wvar=(0.5, 0.5),
+                )
             )
-        )
+        else:
+
+            def integrand(t: float) -> float:
+                mu = b * math.cos(0.5 * t) ** 2 + a * math.sin(0.5 * t) ** 2
+                return 2.0 / math.pi * math.sin(t) ** 2 * mu ** (k - 1)
+
+            out.append(_quad_checked(integrand, 0.0, math.pi, what))
     return out[0], out[1], out[2]
 
 
 def cdf_value(d: ContinuumDensity, x: np.ndarray | float) -> np.ndarray:
-    """Closed-form CDF of the density, vectorized and clipped to [0, 1]."""
+    """Closed-form CDF of the density, vectorized and clipped to [0, 1].
+
+    MP(c): with mu = 1 + c + 2 sqrt(c) cos t, F = (2/pi) int_t^pi
+    sin^2 / (1 + c + 2 sqrt(c) cos) integrates to
+
+        F = [2(1+c) atan2(q, s) + s q - 2(1-c) atan2(q, k s)] / (2 pi c),
+
+    with s = sqrt(b - mu), q = sqrt(mu - a) and k = (1 - sqrt c)/(1 + sqrt c);
+    at c = 1 the last term vanishes.
+    """
     x = np.asarray(x, dtype=float)
     a, b = d.support
     if d.kind == "semicircle":
@@ -164,9 +205,36 @@ def cdf_value(d: ContinuumDensity, x: np.ndarray | float) -> np.ndarray:
         t = np.clip((x - 1.0) / r, -1.0, 1.0)
         f = 0.5 + (t * np.sqrt(1.0 - t * t) + np.arcsin(t)) / math.pi
     else:
-        u = np.arcsin(0.5 * np.sqrt(np.clip(x, 0.0, 4.0)))
-        f = (2.0 * u + np.sin(2.0 * u)) / math.pi
+        c = d.ratio
+        x = np.clip(x, a, b)
+        s, q = np.sqrt(b - x), np.sqrt(x - a)
+        k = (1.0 - math.sqrt(c)) / (1.0 + math.sqrt(c))
+        f = (
+            2.0 * (1.0 + c) * np.arctan2(q, s)
+            + s * q
+            - 2.0 * (1.0 - c) * np.arctan2(q, k * s)
+        ) / (2.0 * math.pi * c)
     return np.clip(f, 0.0, 1.0)
+
+
+def quantiles(d: ContinuumDensity, n: int) -> np.ndarray:
+    """The n points with cdf = (i - 1/2)/n, i = 1..n, ascending.
+
+    Vectorized bisection on cdf_value over the support, run until every
+    bracket is down to adjacent floats.
+    """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    p = (np.arange(n) + 0.5) / n
+    a, b = d.support
+    lo, hi = np.full(n, a), np.full(n, b)
+    while True:
+        mid = 0.5 * (lo + hi)
+        if np.all((mid == lo) | (mid == hi)):
+            return mid
+        below = cdf_value(d, mid) < p
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
 
 
 def ks_distance(values, d: ContinuumDensity) -> float:
@@ -208,9 +276,12 @@ def tricomi_residual(d: ContinuumDensity, grid) -> float:
 
     Semicircle: the trace multiplier zeta is read off at the support
     midpoint, so the residual is the spread of beta*mu + PV(mu) across the
-    grid.  MP: beta = 0 and PV must equal -1/2 identically, so the residual
-    is measured against that constant.
+    grid.  MP(1): beta = 0 and PV must equal -1/2 identically, so the
+    residual is measured against that constant.  MP(c < 1) feels the extra
+    (M - N) log potential, which this equation omits (ValueError).
     """
+    if d.kind == "marchenko_pastur" and d.ratio != 1.0:
+        raise ValueError(f"tricomi_residual needs ratio 1, got {d.ratio}")
     a, b = d.support
     pts = np.asarray(grid, dtype=float)
     if pts.size == 0:
@@ -239,12 +310,10 @@ class ConvergenceRow:
 def finite_n_convergence(n_list, beta: float) -> list[ConvergenceRow]:
     """KS distance of the rescaled fixed-purity spectrum to the semicircle,
     one row per n, at stiffness eta = beta * n^3."""
-    if beta < BETA_CRITICAL:
-        raise ValueError(f"beta must be >= {BETA_CRITICAL}, got {beta}")
+    d = semicircle(beta)
     ns = [int(v) for v in n_list]
     if ns != sorted(ns) or len(set(ns)) != len(ns):
         raise ValueError("n_list must be strictly ascending")
-    d = semicircle(beta)
     rows = []
     for n in ns:
         sol = solve_isopurity(IsopurityProblem.from_eta(n, beta * n**3))

@@ -17,7 +17,9 @@ no target); gradients and Hessians are unaffected.
 `solve_saddle_numeric` is the independent oracle: Newton's method for the
 convex function F + eta sum lambda^2 restricted to sum lambda = 1, with eta
 fixed by the force sum rules when a (balanced) purity target is given.  It
-never looks at the polynomial solutions it is later compared against.
+starts at quantiles of the large-N continuum law (Marchenko-Pastur or the
+semicircle, from `continuum`) and never looks at the polynomial solutions
+it is later compared against.
 
 Sign conventions: `gradient` returns dE/dlambda_i, so the balance-of-forces
 equations of the gas read gradient = 0; the Hessian off-diagonal is the true
@@ -33,6 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
+from .continuum import marchenko_pastur, quantiles, semicircle
 from .core import BipartitionDims, Spectrum, _as_values
 from .errors import ConvergenceError, FeasibilityError
 from .fixedpurity import critical_threshold, eta_from_purity
@@ -70,7 +73,13 @@ class EnergyParams:
 
 @dataclass(frozen=True)
 class SaddleSolution:
-    """A stationary point of the gas with its multipliers and diagnostics."""
+    """A stationary point of the gas with its multipliers and diagnostics.
+
+    iterations, min_step and merit_history describe the Newton run of
+    solve_saddle_numeric: steps taken, the smallest accepted step fraction,
+    and the force norm ||r||_2 after each step.  A solution that took no
+    Newton step keeps the defaults.
+    """
 
     dims: BipartitionDims
     spectrum: Spectrum
@@ -79,6 +88,9 @@ class SaddleSolution:
     max_force_residual: float
     constraint_residuals: tuple
     hessian_definite: bool
+    iterations: int = 0
+    min_step: float = 1.0
+    merit_history: tuple = ()
 
     def to_json_dict(self) -> dict:
         return {
@@ -138,7 +150,8 @@ def gradient(spectrum, params: EnergyParams) -> np.ndarray:
         return np.full(v.size, math.inf)
     g = np.full(v.size, float(params.xi))
     if v.size > 1:
-        inv = 1.0 / _pair_differences(v)
+        inv = _pair_differences(v)
+        np.reciprocal(inv, out=inv)
         np.fill_diagonal(inv, 0.0)
         g -= 2.0 * inv.sum(axis=1)
     if alpha > 0:
@@ -155,13 +168,17 @@ def hessian(spectrum, params: EnergyParams) -> np.ndarray:
     n = v.size
     if not _interior_ok(v, alpha):
         return np.full((n, n), math.inf)
-    h = np.zeros((n, n))
     if n > 1:
-        diff = _pair_differences(v)
-        inv2 = 1.0 / (diff * diff)
-        np.fill_diagonal(inv2, 0.0)
-        h = -2.0 * inv2
-        np.fill_diagonal(h, 2.0 * inv2.sum(axis=1))
+        # one N x N buffer: the pair differences become -2/(l_i - l_j)^2 in place
+        h = _pair_differences(v)
+        h *= h
+        np.reciprocal(h, out=h)
+        np.fill_diagonal(h, 0.0)
+        row = h.sum(axis=1)
+        h *= -2.0
+        np.fill_diagonal(h, 2.0 * row)
+    else:
+        h = np.zeros((n, n))
     if alpha > 0:
         h[np.diag_indices(n)] += alpha / (v * v)
     if params.eta:
@@ -190,9 +207,17 @@ def _is_positive_definite(h: np.ndarray) -> bool:
         return False
 
 
-def _start_point(n: int) -> np.ndarray:
-    # maximally mixed plus 1e-3-graded, ordered, zero-sum offsets
-    return (1.0 + 1e-3 * np.linspace(-1.0, 1.0, n)) / n
+def _start_point(dims: BipartitionDims, eta: float) -> np.ndarray:
+    """(i - 1/2)/N quantiles of the continuum law, normalized to unit trace:
+    Marchenko-Pastur(N/M) for the unbiased gas (N < M here), the semicircle
+    at beta = max(eta/N^3, 2) for a balanced purity target."""
+    n = dims.n
+    if eta > 0.0:
+        law = semicircle(max(eta / n**3, 2.0))
+    else:
+        law = marchenko_pastur(n / dims.m)
+    x = quantiles(law, n)
+    return x / x.sum()
 
 
 def _trace_force(x: np.ndarray, params: EnergyParams) -> tuple[float, np.ndarray]:
@@ -212,12 +237,13 @@ def solve_saddle_numeric(dims, purity_target=None) -> SaddleSolution:
     on the interior (the pair Hessian is a PSD weighted Laplacian, the
     (M-N)/lambda^2 and 2 eta diagonals are non-negative) and strictly convex
     whenever M > N or eta > 0, so its minimum on sum lambda = 1 is the saddle
-    point.  Starting at the maximally mixed point (plus graded 1e-3 offsets),
-    each iteration Cholesky-factors the Hessian, takes the Newton step
-    projected onto the hyperplane, and halves it until the force norm falls
-    (the gradient's +inf sentinel rejects off-domain trial points).  Stops at
+    point.  Starting at the continuum law's quantiles (_start_point), each
+    iteration Cholesky-factors the Hessian, takes the Newton step projected
+    onto the hyperplane, and halves it until the force norm falls (the
+    gradient's +inf sentinel rejects off-domain trial points).  Stops at
     force residual <= 1e-13 * max(|xi|, 1); ConvergenceError if the final
-    residual exceeds RESIDUAL_FACTOR * max(|xi|, 1).
+    residual exceeds RESIDUAL_FACTOR * max(|xi|, 1).  The solution reports
+    the Newton iterations, smallest accepted step and merit history.
 
     Balanced unconstrained problems are reduced explicitly: one charge sits
     at the origin and the rest solve the (N-1, N+1) problem.
@@ -259,6 +285,9 @@ def solve_saddle_numeric(dims, purity_target=None) -> SaddleSolution:
             max_force_residual=inner.max_force_residual,
             constraint_residuals=(abs(float(values.sum()) - 1.0),),
             hessian_definite=inner.hessian_definite,
+            iterations=inner.iterations,
+            min_step=inner.min_step,
+            merit_history=inner.merit_history,
         )
 
     if n == 1:
@@ -275,9 +304,10 @@ def solve_saddle_numeric(dims, purity_target=None) -> SaddleSolution:
         )
 
     params = EnergyParams(dims, eta=eta)
-    x = _start_point(n)
+    x = _start_point(dims, eta)
     xi, r = _trace_force(x, params)
     norm = float(np.linalg.norm(r))
+    min_step, merits = 1.0, []
     for _ in range(MAX_ITERATIONS):
         if float(np.max(np.abs(r))) <= 1e-13 * max(abs(xi), 1.0):
             break
@@ -295,6 +325,8 @@ def solve_saddle_numeric(dims, purity_target=None) -> SaddleSolution:
             norm_try = float(np.linalg.norm(r_try))
             if norm_try < norm:
                 x, xi, r, norm = x_try, xi_try, r_try, norm_try
+                min_step = min(min_step, step)
+                merits.append(norm)
                 break
             step *= 0.5
         else:
@@ -318,6 +350,9 @@ def solve_saddle_numeric(dims, purity_target=None) -> SaddleSolution:
         max_force_residual=res,
         constraint_residuals=tuple(residuals),
         hessian_definite=_is_positive_definite(hessian(x, params)),
+        iterations=len(merits),
+        min_step=min_step,
+        merit_history=tuple(merits),
     )
 
 

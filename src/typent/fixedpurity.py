@@ -71,8 +71,8 @@ class IsopurityProblem:
     def __post_init__(self) -> None:
         if self.n < 2:
             raise ValueError(f"n must be >= 2, got {self.n}")
-        if self.eta <= 0:
-            raise ValueError(f"eta must be > 0, got {self.eta}")
+        if not 0.0 < self.eta < math.inf:
+            raise ValueError(f"eta must be finite and > 0, got {self.eta}")
 
     @classmethod
     def from_purity(cls, n: int, purity: float) -> "IsopurityProblem":

@@ -72,6 +72,27 @@ def test_isopurity_exit_codes(capsys):
         assert "n must be >= 2" in err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_beta_is_usage_error(capsys, value):
+    for argv in (
+        ("density", "--kind", "semicircle", "--beta", value, "--points", "4"),
+        ("isopurity", "--n", "4", "--beta", value),
+        ("isopurity", "--n", "4", "--eta", value),
+    ):
+        code, out, err = _run(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert value in err
+
+
+@pytest.mark.parametrize("scan, bound", [("1,inf,3", "HI"), ("nan,5,3", "LO")])
+def test_scan_bounds_must_be_finite(capsys, scan, bound):
+    code, out, err = _run(capsys, "isopurity", "--n", "4", "--scan", scan)
+    assert code == 2
+    assert out == ""
+    assert f"--scan {bound} must be finite" in err
+
+
 def test_sample_report(capsys):
     doc = _run_json(
         capsys, "sample", "--n", "2", "--m", "2", "--samples", "4000",

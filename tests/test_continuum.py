@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+import typent.continuum as continuum
 from typent.continuum import (
     cdf_value,
     density_grid,
@@ -12,9 +13,12 @@ from typent.continuum import (
     ks_distance,
     marchenko_pastur,
     moments,
+    quantiles,
     semicircle,
     tricomi_residual,
 )
+
+RATIOS = (0.01, 0.25, 0.5)
 
 
 def test_semicircle_constructor():
@@ -26,6 +30,9 @@ def test_semicircle_constructor():
     assert d4.support[1] == pytest.approx(1.5)
     with pytest.raises(ValueError):
         semicircle(1.9)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            semicircle(bad)
 
 
 def test_marchenko_pastur_constructor():
@@ -33,6 +40,14 @@ def test_marchenko_pastur_constructor():
     assert d.support == (0.0, 4.0)
     assert d.beta == 0.0
     assert d.rescaled_purity == 2.0
+    assert d.ratio == 1.0
+    q = marchenko_pastur(0.25)
+    assert q.support == (0.25, 2.25)
+    assert q.rescaled_purity == 1.25
+    assert q.ratio == 0.25
+    for bad in (0.0, -0.5, 1.5, math.nan):
+        with pytest.raises(ValueError):
+            marchenko_pastur(bad)
 
 
 def test_density_values():
@@ -83,6 +98,57 @@ def test_cdf_matches_quadrature():
         assert cdf_value(d, x) == pytest.approx(val, abs=max(1e-10, 10 * err))
 
 
+@pytest.mark.parametrize("c", RATIOS)
+def test_general_ratio_cdf_matches_quadrature(c):
+    d = marchenko_pastur(c)
+    a, b = d.support
+    for x in np.linspace(a, b, 9)[1:]:
+        val, _ = integrate.quad(lambda t: density_value(d, t), a, x, limit=200)
+        assert abs(float(cdf_value(d, x)) - val) <= 1e-9
+    assert cdf_value(d, a) == 0.0
+    assert abs(float(cdf_value(d, b)) - 1.0) <= 1e-13
+
+
+def test_square_case_matches_former_closed_forms():
+    """At c = 1 the general-ratio density, slope and CDF reduce to
+    sqrt((4 - mu)/mu)/(2 pi), -1/(pi sqrt(4 - mu) mu^1.5) and
+    (2u + sin 2u)/pi with u = arcsin(sqrt(mu)/2)."""
+    d = marchenko_pastur(1.0)
+    xs = np.linspace(0.0, 4.0, 4001)[1:-1]
+    for x in xs[::40]:
+        x = float(x)
+        assert density_value(d, x) == pytest.approx(
+            math.sqrt((4.0 - x) / x) / (2.0 * math.pi), rel=1e-14
+        )
+        assert continuum._density_slope(d, x) == pytest.approx(
+            -1.0 / (math.pi * math.sqrt(4.0 - x) * x**1.5), rel=1e-14
+        )
+    u = np.arcsin(0.5 * np.sqrt(xs))
+    assert np.max(np.abs(cdf_value(d, xs) - (2.0 * u + np.sin(2.0 * u)) / math.pi)) <= 1e-14
+
+
+@pytest.mark.parametrize("c", RATIOS)
+def test_general_ratio_moments(c):
+    mass, mean, second = moments(marchenko_pastur(c))
+    assert abs(mass - 1.0) <= 1e-12
+    assert abs(mean - 1.0) <= 1e-12
+    assert abs(second - (1.0 + c)) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "d", [marchenko_pastur(), marchenko_pastur(0.01), marchenko_pastur(0.5), semicircle(2.0), semicircle(50.0)]
+)
+def test_quantiles_strictly_increase_inside_support(d):
+    for n in (1, 2, 7, 1000):
+        q = quantiles(d, n)
+        assert q.shape == (n,)
+        assert np.all(np.diff(q) > 0.0)
+        assert d.support[0] < q[0] and q[-1] < d.support[1]
+        assert np.max(np.abs(cdf_value(d, q) - (np.arange(n) + 0.5) / n)) <= 1e-12
+    with pytest.raises(ValueError):
+        quantiles(d, 0)
+
+
 def test_cdf_is_vectorized_and_monotone():
     d = semicircle(3.0)
     xs = np.linspace(d.support[0], d.support[1], 101)
@@ -120,6 +186,9 @@ def test_tricomi_grid_must_be_interior():
         tricomi_residual(d, [0.0, 1.0])
     with pytest.raises(ValueError):
         tricomi_residual(marchenko_pastur(), [2.0, 4.5])
+    # MP(c < 1) solves a different equation (extra log potential)
+    with pytest.raises(ValueError):
+        tricomi_residual(marchenko_pastur(0.25), [1.0])
 
 
 def test_finite_n_convergence_monotone():
@@ -142,6 +211,9 @@ def test_finite_n_convergence_validation():
         finite_n_convergence([16, 8], 2.0)
     with pytest.raises(ValueError):
         finite_n_convergence([8, 8], 2.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            finite_n_convergence([8, 16], bad)
 
 
 def test_density_grid_shapes():

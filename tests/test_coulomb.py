@@ -187,6 +187,34 @@ def test_constrained_solver_hits_purity_target():
     assert sol.xi == pytest.approx(-8.0, rel=1e-8)
 
 
+def test_warm_start_converges_in_few_newton_steps():
+    """The continuum-quantile start needs a handful of steps where the
+    maximally mixed start took 15-18."""
+    target = 1.0 / 16 + 0.5 * (purity_from_eta(16, critical_threshold(16).eta_plus) - 1.0 / 16)
+    cases = [
+        (BipartitionDims(64, 128), None),
+        (BipartitionDims(200, 400), None),
+        (BipartitionDims(16, 16), target),
+    ]
+    for dims, purity_target in cases:
+        sol = solve_saddle_numeric(dims, purity_target=purity_target)
+        assert 1 <= sol.iterations <= 8
+        assert len(sol.merit_history) == sol.iterations
+        assert 0.0 < sol.min_step <= 1.0
+        assert all(a > b for a, b in zip(sol.merit_history, sol.merit_history[1:]))
+        assert sol.merit_history[-1] <= sol.max_force_residual * math.sqrt(dims.n)
+
+
+def test_solver_diagnostics_defaults_and_reduction():
+    balanced = solve_saddle_numeric(BipartitionDims(6, 6))
+    inner = solve_saddle_numeric(BipartitionDims(5, 7))
+    assert balanced.iterations == inner.iterations >= 1
+    assert balanced.min_step == inner.min_step
+    assert balanced.merit_history == inner.merit_history
+    for sol in (solve_saddle_numeric(BipartitionDims(1, 4)), typical_solution(BipartitionDims(3, 5))):
+        assert (sol.iterations, sol.min_step, sol.merit_history) == (0, 1.0, ())
+
+
 def test_constrained_solver_rejects_unreachable_purity():
     with pytest.raises(FeasibilityError):
         solve_saddle_numeric(BipartitionDims(2, 2), purity_target=0.5)

@@ -1,12 +1,16 @@
 """The README's examples run as written, and every module's __all__ resolves."""
 
 import importlib
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import typent
 from typent import cli
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -61,3 +65,17 @@ def test_star_import_and_all_entries(name):
     namespace = {}
     exec(f"from typent.{name} import *", namespace)
     assert set(module.__all__) <= set(namespace)
+
+
+def test_import_leaves_scipy_special_and_integrate_unloaded():
+    """closedform and continuum import them on first use, so a small CLI
+    call does not pay for them."""
+    env = dict(os.environ, PYTHONPATH=str(Path(typent.__file__).resolve().parents[1]))
+    code = (
+        "import sys, typent; "
+        "print([m for m in ('scipy.special', 'scipy.integrate') if m in sys.modules])"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"

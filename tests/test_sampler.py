@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
 from typent.closedform import mean_moments
+from typent.continuum import ks_distance, marchenko_pastur
 from typent.core import BipartitionDims
 from typent.sampler import (
     SamplerConfig,
@@ -154,6 +155,12 @@ def test_rescaled_eigenvalues_follow_block_order():
         ]
     )
     assert np.array_equal(rescaled_eigenvalues(cfg), expected)
+
+
+def test_rescaled_eigenvalues_follow_marchenko_pastur_at_ratio_quarter():
+    """At 64 x 256 the pooled N*lambda follow MP(c = N/M = 1/4)."""
+    mu = rescaled_eigenvalues(_config(64, 256, 1024, seed=7))
+    assert ks_distance(mu, marchenko_pastur(0.25)) < 0.01
 
 
 def test_histogram_rescaled():
