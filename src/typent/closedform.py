@@ -2,9 +2,10 @@
 
 Ensemble averages (over all random pure states) and typical values (at the
 saddle point of the eigenvalue gas) are distinct: their difference is
-O(1/(NM)).  Everything with a factorial in it is evaluated through log-gamma;
-the exact-rational helpers (`Fraction` arithmetic) exist so tests can compare
-derivation routes bit for bit instead of within tolerances.
+O(1/(NM)).  The normalization and its moments are evaluated through
+log-gamma.  The typical invariants s_k and the exact-rational helpers use
+`Fraction` arithmetic, so each float is one correctly rounded conversion and
+tests can compare derivation routes bit for bit instead of within tolerances.
 
 Normalization of the joint eigenvalue law:
 
@@ -91,19 +92,6 @@ def mean_moments(dims: BipartitionDims) -> EnsembleMoments:
     )
 
 
-def _log_invariant_s(n: int, m: int, k: int) -> float:
-    # s_k = N! (M-1)! / (k! (N-k)! (M-k-1)!) * [N(M-1)]^(-k)
-    lg = math.lgamma
-    return (
-        lg(n + 1)
-        + lg(m)
-        - lg(k + 1)
-        - lg(n - k + 1)
-        - lg(m - k)
-        - k * math.log(n * (m - 1))
-    )
-
-
 def balanced_det_asymptotic(n: int) -> float:
     """ln of the balanced-case typical determinant scale, ln N! - 2N ln N."""
     if n < 1:
@@ -140,27 +128,15 @@ class TypicalQuantities:
     determinant_log: float
 
     def invariants_s(self, k: int) -> float:
-        n, m = self.dims.n, self.dims.m
-        if not 1 <= k <= n:
-            raise ValueError(f"k must be in 1..{n}, got {k}")
-        if m == n and k == n:
-            # the balanced typical spectrum has a zero eigenvalue
-            return 0.0
-        if m <= 2000:
-            # exact integer route, then one correctly rounded conversion;
-            # keeps identities like s_1 = 1 free of log-gamma noise
-            return float(invariant_s_exact(n, m, k))
-        return math.exp(_log_invariant_s(n, m, k))
+        return float(invariant_s_exact(self.dims.n, self.dims.m, k))
 
     def invariants_s_table(self) -> list[float]:
         """[invariants_s(k) for k in 1..N], bit for bit, in O(N) exact steps.
 
-        On the exact route s_k = s_(k-1) (N-k+1)(M-k) / (k N (M-1)), so one
-        running rational product replaces N factorial ratios.
+        s_k = s_(k-1) (N-k+1)(M-k) / (k N (M-1)), so one running rational
+        product replaces N factorial ratios.
         """
         n, m = self.dims.n, self.dims.m
-        if m > 2000:
-            return [self.invariants_s(k) for k in range(1, n + 1)]
         out = []
         s = Fraction(1)
         for k in range(1, n + 1):
@@ -223,8 +199,7 @@ def invariant_s_exact(n: int, m: int, k: int) -> Fraction:
         raise ValueError(f"k must be in 1..{n}, got {k}")
     if m == n and k == n:
         return Fraction(0)
-    num = math.comb(n, k) * (math.factorial(m - 1) // math.factorial(m - k - 1))
-    return Fraction(num, (n * (m - 1)) ** k)
+    return Fraction(math.comb(n, k) * math.perm(m - 1, k), (n * (m - 1)) ** k)
 
 
 def trace_inverse_exact(n: int, m: int) -> Fraction:

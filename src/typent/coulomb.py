@@ -19,7 +19,11 @@ convex function F + eta sum lambda^2 restricted to sum lambda = 1, with eta
 fixed by the force sum rules when a (balanced) purity target is given.  It
 starts at quantiles of the large-N continuum law (Marchenko-Pastur or the
 semicircle, from `continuum`) and never looks at the polynomial solutions
-it is later compared against.
+it is later compared against.  It builds and Cholesky-factors (scipy) the
+Hessian once per accepted point, and the factor at the returned point
+decides hessian_definite.  `typical_solution` and the oracle share one
+builder for the N = 1 case, the balanced (N-1, N+1) reduction and the
+diagnostics.
 
 Sign conventions: `gradient` returns dE/dlambda_i, so the balance-of-forces
 equations of the gas read gradient = 0; the Hessian off-diagonal is the true
@@ -30,7 +34,7 @@ source analysis; finite differences in the test suite arbitrate).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
@@ -67,8 +71,8 @@ class EnergyParams:
     xi: float = 0.0
 
     def __post_init__(self):
-        if self.eta < 0.0:
-            raise ValueError(f"eta must be >= 0, got {self.eta}")
+        if not 0.0 <= self.eta < math.inf:
+            raise ValueError(f"eta must be finite and >= 0, got {self.eta}")
 
 
 @dataclass(frozen=True)
@@ -196,17 +200,6 @@ def multiplier_xi(dims: BipartitionDims) -> int:
     return dims.n * (dims.m - 1)
 
 
-def _is_positive_definite(h: np.ndarray) -> bool:
-    """Finite, and its Cholesky factorization succeeds."""
-    if not np.all(np.isfinite(h)):
-        return False
-    try:
-        np.linalg.cholesky(h)
-        return True
-    except np.linalg.LinAlgError:
-        return False
-
-
 def _start_point(dims: BipartitionDims, eta: float) -> np.ndarray:
     """(i - 1/2)/N quantiles of the continuum law, normalized to unit trace:
     Marchenko-Pastur(N/M) for the unbiased gas (N < M here), the semicircle
@@ -230,92 +223,69 @@ def _trace_force(x: np.ndarray, params: EnergyParams) -> tuple[float, np.ndarray
     return xi, g + xi
 
 
-def solve_saddle_numeric(dims, purity_target=None) -> SaddleSolution:
-    """Find the interior minimum of the gas by equality-constrained Newton.
+def _cholesky(h: np.ndarray):
+    """Cholesky factor of h if h is finite and positive definite, else None."""
+    if not np.all(np.isfinite(h)):
+        return None
+    try:
+        return cho_factor(h, check_finite=False)
+    except LinAlgError:
+        return None
 
-    Independent of the polynomial route.  E = F + eta sum lambda^2 is convex
-    on the interior (the pair Hessian is a PSD weighted Laplacian, the
-    (M-N)/lambda^2 and 2 eta diagonals are non-negative) and strictly convex
-    whenever M > N or eta > 0, so its minimum on sum lambda = 1 is the saddle
-    point.  Starting at the continuum law's quantiles (_start_point), each
-    iteration Cholesky-factors the Hessian, takes the Newton step projected
-    onto the hyperplane, and halves it until the force norm falls (the
-    gradient's +inf sentinel rejects off-domain trial points).  Stops at
-    force residual <= 1e-13 * max(|xi|, 1); ConvergenceError if the final
-    residual exceeds RESIDUAL_FACTOR * max(|xi|, 1).  The solution reports
-    the Newton iterations, smallest accepted step and merit history.
 
-    Balanced unconstrained problems are reduced explicitly: one charge sits
-    at the origin and the rest solve the (N-1, N+1) problem.
+def _saddle(dims, interior, eta=0.0, purity_target=None) -> SaddleSolution:
+    """One route's solution with the reductions and diagnostics both share.
 
-    purity_target is supported for balanced dims only (ValueError otherwise).
-    There eta = eta_from_purity(N, target) follows from the gas's force sum
-    rules: sum_i g_i = 0 gives xi = -2 eta / N and sum_i lambda_i g_i = 0
-    gives xi + 2 eta pi = N(N-1), so the minimum has purity pi = target; the
-    purity residual is checked all the same.  Targets outside (1/N, 1] or at
-    or beyond the positivity threshold raise FeasibilityError.
+    N = 1: the only point of the trace hyperplane, lambda = 1, with
+    xi = M - 1; the hyperplane leaves no direction to curve along, so the
+    Hessian counts as definite.  Balanced dims at eta = 0: one charge sits at
+    the origin and the rest solve the (N-1, N+1) problem by the same route,
+    whose multiplier, residuals and diagnostics carry over unchanged.
+    Otherwise interior(params) returns the spectrum, the trace multiplier,
+    whether the Hessian there is positive definite, and the route's Newton
+    fields.
     """
-    n, alpha = dims.n, dims.alpha
-    constrained = purity_target is not None
-    eta = 0.0
-
-    if constrained:
-        if not 1.0 / n < purity_target <= 1.0:
-            raise FeasibilityError(
-                f"purity target {purity_target} outside (1/{n}, 1]"
-            )
-        if not dims.balanced:
-            raise ValueError(
-                f"purity targets need balanced dims, got n={n}, m={dims.m}"
-            )
-        eta = eta_from_purity(n, purity_target)
-        if eta <= critical_threshold(n).eta_plus:
-            raise FeasibilityError(
-                f"no interior fixed-purity solution at n={n}, target={purity_target}"
-            )
-
-    if dims.balanced and not constrained and n >= 2:
-        inner = solve_saddle_numeric(BipartitionDims(dims.n - 1, dims.n + 1))
-        values = np.concatenate((inner.spectrum.values, [0.0]))
-        return SaddleSolution(
-            dims=dims,
-            spectrum=Spectrum(values),
-            xi=inner.xi,
-            eta=0.0,
-            max_force_residual=inner.max_force_residual,
-            constraint_residuals=(abs(float(values.sum()) - 1.0),),
-            hessian_definite=inner.hessian_definite,
-            iterations=inner.iterations,
-            min_step=inner.min_step,
-            merit_history=inner.merit_history,
-        )
-
+    n = dims.n
     if n == 1:
-        spectrum = Spectrum(np.array([1.0]))
-        xi = float(alpha)
-        return SaddleSolution(
-            dims=dims,
-            spectrum=spectrum,
-            xi=xi,
-            eta=0.0,
-            max_force_residual=force_residual(spectrum, EnergyParams(dims, xi=xi)),
-            constraint_residuals=(0.0,),
-            hessian_definite=True,
-        )
+        x, xi, definite, newton = np.array([1.0]), float(dims.alpha), True, {}
+    elif dims.balanced and not eta:
+        inner = _saddle(BipartitionDims(n - 1, n + 1), interior)
+        values = np.append(inner.spectrum.values, 0.0)
+        return replace(inner, dims=dims, spectrum=Spectrum.from_values(values))
+    else:
+        x, xi, definite, newton = interior(EnergyParams(dims, eta=eta))
+    residuals = [abs(float(x.sum()) - 1.0)]
+    if purity_target is not None:
+        residuals.append(abs(float(x @ x) - purity_target))
+    return SaddleSolution(
+        dims=dims,
+        spectrum=Spectrum.from_values(x),
+        xi=xi,
+        eta=eta,
+        max_force_residual=force_residual(x, EnergyParams(dims, eta=eta, xi=xi)),
+        constraint_residuals=tuple(residuals),
+        hessian_definite=definite,
+        **newton,
+    )
 
-    params = EnergyParams(dims, eta=eta)
-    x = _start_point(dims, eta)
+
+def _newton(params: EnergyParams):
+    """The Newton loop of solve_saddle_numeric, as a route for _saddle.
+
+    Each accepted point gets one Hessian and one Cholesky factorization,
+    before its convergence test; the factor serves the next step, and at
+    the returned point it decides hessian_definite.
+    """
+    n = params.dims.n
+    x = _start_point(params.dims, params.eta)
     xi, r = _trace_force(x, params)
     norm = float(np.linalg.norm(r))
+    factor = _cholesky(hessian(x, params))
     min_step, merits = 1.0, []
     for _ in range(MAX_ITERATIONS):
-        if float(np.max(np.abs(r))) <= 1e-13 * max(abs(xi), 1.0):
+        if factor is None or float(np.max(np.abs(r))) <= 1e-13 * max(abs(xi), 1.0):
             break
-        try:
-            factor = cho_factor(hessian(x, params))
-            h_r, h_1 = cho_solve(factor, np.column_stack((r, np.ones(n)))).T
-        except LinAlgError:
-            break
+        h_r, h_1 = cho_solve(factor, np.column_stack((r, np.ones(n)))).T
         dx = h_1 * (h_r.sum() / h_1.sum()) - h_r
 
         step = 1.0
@@ -331,57 +301,75 @@ def solve_saddle_numeric(dims, purity_target=None) -> SaddleSolution:
             step *= 0.5
         else:
             break
+        factor = _cholesky(hessian(x, params))
+    newton = {"iterations": len(merits), "min_step": min_step, "merit_history": tuple(merits)}
+    return x, xi, factor is not None, newton
 
-    res = float(np.max(np.abs(r)))
-    residuals = [abs(float(x.sum()) - 1.0)]
-    if constrained:
-        residuals.append(abs(float(x @ x) - purity_target))
-    if res > RESIDUAL_FACTOR * max(abs(xi), 1.0) or max(residuals) > 1e-10:
+
+def solve_saddle_numeric(dims, purity_target=None) -> SaddleSolution:
+    """Find the interior minimum of the gas by equality-constrained Newton.
+
+    Independent of the polynomial route.  E = F + eta sum lambda^2 is convex
+    on the interior (the pair Hessian is a PSD weighted Laplacian, the
+    (M-N)/lambda^2 and 2 eta diagonals are non-negative) and strictly convex
+    whenever M > N or eta > 0, so its minimum on sum lambda = 1 is the saddle
+    point.  Starting at the continuum law's quantiles (_start_point), the
+    loop builds and Cholesky-factors the Hessian once per accepted point,
+    takes the Newton step projected onto the hyperplane, and halves it until
+    the force norm falls (the gradient's +inf sentinel rejects off-domain
+    trial points).  Stops at force residual <= 1e-13 * max(|xi|, 1);
+    ConvergenceError if the final residual exceeds
+    RESIDUAL_FACTOR * max(|xi|, 1).  hessian_definite comes from the last
+    factorization, the one at the returned point.  The solution reports the
+    Newton iterations, smallest accepted step and merit history.
+
+    N = 1 and balanced unconstrained dims are reduced as in typical_solution
+    (one charge at the origin, the rest solving the (N-1, N+1) problem).
+
+    purity_target is supported for balanced dims only (ValueError otherwise).
+    There eta = eta_from_purity(N, target) follows from the gas's force sum
+    rules: sum_i g_i = 0 gives xi = -2 eta / N and sum_i lambda_i g_i = 0
+    gives xi + 2 eta pi = N(N-1), so the minimum has purity pi = target; the
+    purity residual is checked all the same.  Targets outside (1/N, 1] or at
+    or beyond the positivity threshold raise FeasibilityError.
+    """
+    n = dims.n
+    eta = 0.0
+    if purity_target is not None:
+        if not 1.0 / n < purity_target <= 1.0:
+            raise FeasibilityError(
+                f"purity target {purity_target} outside (1/{n}, 1]"
+            )
+        if not dims.balanced:
+            raise ValueError(
+                f"purity targets need balanced dims, got n={n}, m={dims.m}"
+            )
+        eta = eta_from_purity(n, purity_target)
+        if eta <= critical_threshold(n).eta_plus:
+            raise FeasibilityError(
+                f"no interior fixed-purity solution at n={n}, target={purity_target}"
+            )
+
+    sol = _saddle(dims, _newton, eta, purity_target)
+    res, worst = sol.max_force_residual, max(sol.constraint_residuals)
+    if res > RESIDUAL_FACTOR * max(abs(sol.xi), 1.0) or worst > 1e-10:
         raise ConvergenceError(
             f"saddle solver stalled at force residual {res:.3e}, "
-            f"constraint residual {max(residuals):.3e}"
+            f"constraint residual {worst:.3e}"
         )
+    return sol
 
-    return SaddleSolution(
-        dims=dims,
-        spectrum=Spectrum.from_values(x),
-        xi=xi,
-        eta=eta,
-        max_force_residual=res,
-        constraint_residuals=tuple(residuals),
-        hessian_definite=_is_positive_definite(hessian(x, params)),
-        iterations=len(merits),
-        min_step=min_step,
-        merit_history=tuple(merits),
-    )
+
+def _laguerre(params: EnergyParams):
+    """Zeros of L_N^(M-N-1)(N(M-1) x), as a route for _saddle."""
+    dims = params.dims
+    xi = float(multiplier_xi(dims))
+    x = laguerre_zeros(LaguerreSpec(dims.n, float(dims.alpha - 1), xi))
+    return x, xi, _cholesky(hessian(x, params)) is not None, {}
 
 
 def typical_solution(dims: BipartitionDims) -> SaddleSolution:
     """Unbiased typical spectrum by the polynomial route: zeros of
-    L_N^(M-N-1)(N(M-1) x), with the balanced case reduced to (N-1, N+1)."""
-    n, m = dims.n, dims.m
-    xi = float(multiplier_xi(dims))
-    if n == 1:
-        values = np.array([1.0])
-        inner_dims, inner_values = dims, values
-    elif dims.balanced:
-        inner_dims = BipartitionDims(n - 1, n + 1)
-        inner_values = laguerre_zeros(
-            LaguerreSpec(n - 1, 1.0, float(multiplier_xi(inner_dims)))
-        )
-        values = np.concatenate((inner_values, [0.0]))
-    else:
-        inner_dims = dims
-        inner_values = laguerre_zeros(LaguerreSpec(n, float(dims.alpha - 1), xi))
-        values = inner_values
-    params = EnergyParams(inner_dims, eta=0.0, xi=float(multiplier_xi(inner_dims)))
-    res = float(np.max(np.abs(gradient(inner_values, params)))) if inner_dims.n else 0.0
-    return SaddleSolution(
-        dims=dims,
-        spectrum=Spectrum.from_values(values),
-        xi=xi,
-        eta=0.0,
-        max_force_residual=res,
-        constraint_residuals=(abs(float(values.sum()) - 1.0),),
-        hessian_definite=_is_positive_definite(hessian(inner_values, params)),
-    )
+    L_N^(M-N-1)(N(M-1) x), with N = 1 and balanced dims reduced as in
+    solve_saddle_numeric."""
+    return _saddle(dims, _laguerre)

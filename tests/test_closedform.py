@@ -101,6 +101,14 @@ def test_invariants_table_equals_per_k_values():
         assert typ.invariants_s_table() == per_k
 
 
+@pytest.mark.parametrize("n, m", [(4, 2500), (50, 10**6)])
+def test_invariants_are_exact_at_large_m(n, m):
+    typ = typical_quantities(BipartitionDims(n, m))
+    assert typ.invariants_s(1) == 1.0
+    exact = [float(invariant_s_exact(n, m, k)) for k in range(1, n + 1)]
+    assert typ.invariants_s_table() == exact
+
+
 def test_typical_vs_mean_purity_gap():
     # the two purities differ at order 1/(NM)
     for n in range(2, 9):

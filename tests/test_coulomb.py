@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from typent import coulomb
 from typent.core import BipartitionDims
 from typent.coulomb import (
     EnergyParams,
@@ -40,6 +41,12 @@ def test_energy_small_case_value():
     assert energy([0.75, 0.25], params) == pytest.approx(
         3.0602707946915624, rel=1e-14
     )
+
+
+@pytest.mark.parametrize("eta", [-1.0, math.nan, math.inf, -math.inf])
+def test_energy_params_reject_negative_or_non_finite_eta(eta):
+    with pytest.raises(ValueError):
+        EnergyParams(BipartitionDims(2, 3), eta=eta)
 
 
 def test_energy_is_nonnegative_on_random_interior_points():
@@ -277,3 +284,47 @@ def test_solution_json_shape():
         "hessian_definite",
     }
     assert d["hessian_definite"] is True
+
+
+def test_saddle_routes_factor_with_scipy_once_per_accepted_point(monkeypatch):
+    """Definiteness comes from the Newton loop's own Cholesky factor at the
+    returned point: scipy's cho_factor runs once per accepted point
+    (iterations + 1 per solve) and numpy's cholesky never runs."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.linalg.cholesky called")
+
+    real, calls = coulomb.cho_factor, []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "cholesky", refuse)
+    monkeypatch.setattr(coulomb, "cho_factor", counting)
+    top = purity_from_eta(16, critical_threshold(16).eta_plus)
+    target = 1.0 / 16 + 0.5 * (top - 1.0 / 16)
+    solves = [
+        lambda: solve_saddle_numeric(BipartitionDims(64, 128)),
+        lambda: solve_saddle_numeric(BipartitionDims(16, 16), purity_target=target),
+        lambda: typical_solution(BipartitionDims(64, 128)),
+    ]
+    for solve in solves:
+        calls.clear()
+        sol = solve()
+        assert sol.hessian_definite is True
+        assert len(calls) == sol.iterations + 1
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (1, 4), (2, 2), (6, 6)])
+def test_polynomial_and_newton_routes_report_the_same_diagnostics(n, m):
+    dims = BipartitionDims(n, m)
+    exact = typical_solution(dims)
+    numeric = solve_saddle_numeric(dims)
+    assert exact.xi == pytest.approx(numeric.xi, abs=1e-15)
+    assert exact.hessian_definite is numeric.hessian_definite
+    assert exact.constraint_residuals == pytest.approx(
+        numeric.constraint_residuals, abs=1e-15
+    )
+    assert np.max(np.abs(exact.spectrum.values - numeric.spectrum.values)) <= 1e-12
+    assert (exact.iterations, exact.min_step, exact.merit_history) == (0, 1.0, ())
