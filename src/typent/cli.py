@@ -383,7 +383,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--functional", default=None,
-                   help="purity, entropy, det, lambda_variance, det_power(k), trace_power(k)")
+                   help="purity, entropy, det, lambda_variance, det_power(k), "
+                   "trace_power(k); all but entropy and trace_power(k >= 3) "
+                   "skip the eigensolve")
     p.add_argument("--histogram-bins", type=int, default=None, dest="histogram_bins",
                    help="emit the rescaled eigenvalue histogram instead")
     common(p)

@@ -141,8 +141,9 @@ class TypicalQuantities:
         s = Fraction(1)
         for k in range(1, n + 1):
             if m == n and k == n:
-                # the balanced zero eigenvalue; also keeps N(M-1) = 0 out at N = M = 1
-                out.append(0.0)
+                # the balanced zero eigenvalue, or s_1 of the spectrum [1] at
+                # N = M = 1, where the ratio would divide by N(M-1) = 0
+                out.append(float(n == 1))
                 break
             s *= Fraction((n - k + 1) * (m - k), k * n * (m - 1))
             out.append(float(s))
@@ -198,7 +199,8 @@ def invariant_s_exact(n: int, m: int, k: int) -> Fraction:
     if not 1 <= k <= n:
         raise ValueError(f"k must be in 1..{n}, got {k}")
     if m == n and k == n:
-        return Fraction(0)
+        # the balanced zero eigenvalue; at N = M = 1 the spectrum is [1]
+        return Fraction(int(n == 1))
     return Fraction(math.comb(n, k) * math.perm(m - 1, k), (n * (m - 1)) ** k)
 
 

@@ -5,12 +5,16 @@ independent complex Gaussian entries, which realizes exactly the reduced
 state of a uniformly random pure state on an NM-dimensional space.  W W* is
 the beta = 2 Laguerre ensemble, so the kernel draws it through the
 Dumitriu-Edelman bidiagonal model instead: B is lower bidiagonal with
-squared diagonal chi^2 variates of 2M, 2(M-1), ..., 2(M-N+1) degrees of
-freedom and squared subdiagonal chi^2 variates of 2(N-1), ..., 2, and the
+squared diagonal chi^2 variates a of 2M, 2(M-1), ..., 2(M-N+1) degrees of
+freedom and squared subdiagonal chi^2 variates b of 2(N-1), ..., 2, and the
 tridiagonal T = B B^T has the eigenvalue law of W W*.  Its trace, the sum of
-all 2N-1 draws, has the law of tr(W W*); T/tr(T) is diagonalized by LAPACK
-dsterf.  A spectrum costs O(N) variates and O(N^2) work, not O(NM) variates
-and a dense eigensolve.
+all 2N-1 draws, has the law of tr(W W*).
+
+A functional's route is fixed by its name.  tr T^2 = sum d^2 + 2 sum a_i b_i
+(d = a + (0, b) the diagonal of T) and det T = prod a, so purity,
+lambda_variance, det, det_power(k) and trace_power(k <= 2) cost O(N) per
+sample.  Entropy, trace_power(k >= 3) and the eigenvalue outputs diagonalize
+T/tr(T) with LAPACK dsterf, O(N^2) work per spectrum.
 
 Determinism contract: the same (seed, dims, sample_count) gives the same
 bits.  Each fixed-size block of samples is drawn from its own counter-based
@@ -24,6 +28,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -77,79 +82,104 @@ def _block_rng(seed: int, block_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _spectra(dims: BipartitionDims, g: np.random.Generator, count: int) -> np.ndarray:
-    """Ascending eigenvalues of `count` sampled spectra, shape (count, N)."""
-    n, m = dims.n, dims.m
-    a = g.chisquare(2.0 * np.arange(m, m - n, -1), size=(count, n))
-    b = g.chisquare(2.0 * np.arange(n - 1, 0, -1), size=(count, n - 1))
-    # T = B B^T: diagonal a_i + b_(i-1), off-diagonal sqrt(a_i b_i)
-    vals = a.copy()
-    vals[:, 1:] += b
-    tr = vals.sum(axis=1)[:, None]
-    vals /= tr
-    off = np.sqrt(a[:, :-1] * b) / tr
-    if n > 1:
-        # each row of `vals` is replaced by its eigenvalues, ascending
-        for d, e in zip(vals, off):
-            d[:], info = dsterf(d, e)
-            if info != 0:
-                raise ConvergenceError(f"LAPACK dsterf failed with info={info}")
-    low = float(vals.min())
-    if low < _CLAMP:
-        raise AccuracyError(
-            "sampled spectrum has an eigenvalue below the clamp window",
-            value=low,
-        )
-    np.clip(vals, 0.0, None, out=vals)
-    return vals
+class _Block:
+    """One block of draws, one row per sample; T/tr(T) is diagonalized on
+    first use of `eigenvalues` only."""
+
+    def __init__(self, dims: BipartitionDims, g: np.random.Generator, count: int):
+        n, m = dims.n, dims.m
+        self.a = g.chisquare(2.0 * np.arange(m, m - n, -1), size=(count, n))
+        b = g.chisquare(2.0 * np.arange(n - 1, 0, -1), size=(count, n - 1))
+        # T = B B^T: diagonal a_i + b_(i-1), off-diagonal sqrt(a_i b_i)
+        self.diag = self.a.copy()
+        self.diag[:, 1:] += b
+        self.off_sq = self.a[:, :-1] * b
+        self.trace = self.diag.sum(axis=1)
+
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        """Ascending eigenvalues of every T/tr(T), shape (count, N)."""
+        tr = self.trace[:, None]
+        vals = self.diag / tr
+        off = np.sqrt(self.off_sq) / tr
+        if vals.shape[1] > 1:
+            # each row of `vals` is replaced by its eigenvalues, ascending
+            for d, e in zip(vals, off):
+                d[:], info = dsterf(d, e)
+                if info != 0:
+                    raise ConvergenceError(f"LAPACK dsterf failed with info={info}")
+        low = float(vals.min())
+        if low < _CLAMP:
+            raise AccuracyError(
+                "sampled spectrum has an eigenvalue below the clamp window",
+                value=low,
+            )
+        np.clip(vals, 0.0, None, out=vals)
+        return vals
 
 
 def sample_spectrum(dims: BipartitionDims, rng: np.random.Generator) -> Spectrum:
     """One spectrum drawn from the given generator."""
-    return Spectrum.from_values(_spectra(dims, rng, 1)[0])
+    return Spectrum.from_values(_Block(dims, rng, 1).eigenvalues[0])
 
 
-def _functional(dims: BipartitionDims, name: str) -> Callable[[np.ndarray], np.ndarray]:
-    """Map a functional name to a row-wise evaluator on (B, N) eigenvalues."""
+def _purity(blk: _Block) -> np.ndarray:
+    """tr(T^2)/tr(T)^2 from the draws."""
+    tr_sq = np.sum(blk.diag**2, axis=1) + 2.0 * np.sum(blk.off_sq, axis=1)
+    return tr_sq / blk.trace**2
+
+
+def _lambda_variance(blk: _Block) -> np.ndarray:
+    """Mean of (lambda - 1/N)^2, centred: (tr(T^2) - tr(T)^2/N)/(N tr(T)^2)."""
+    n = blk.diag.shape[1]
+    dev = blk.diag - blk.trace[:, None] / n
+    spread = np.sum(dev * dev, axis=1) + 2.0 * np.sum(blk.off_sq, axis=1)
+    return spread / (n * blk.trace**2)
+
+
+def _log_det(blk: _Block) -> np.ndarray:
+    """ln det(T/tr T) = sum ln a - N ln tr(T), so tr(T)^N never overflows."""
+    return np.sum(np.log(blk.a), axis=1) - blk.a.shape[1] * np.log(blk.trace)
+
+
+def _entropy(blk: _Block) -> np.ndarray:
+    v = blk.eigenvalues
+    safe = np.where(v > 0.0, v, 1.0)
+    return -np.sum(v * np.log(safe), axis=1)
+
+
+def _functional(name: str) -> Callable[[_Block], np.ndarray]:
+    """Map a functional name to a row-wise evaluator on a block of draws."""
     if name == "purity":
-        return lambda v: np.sum(v * v, axis=1)
+        return _purity
     if name == "entropy":
-
-        def _entropy(v: np.ndarray) -> np.ndarray:
-            safe = np.where(v > 0.0, v, 1.0)
-            return -np.sum(v * np.log(safe), axis=1)
-
         return _entropy
     if name == "det":
-        return lambda v: np.prod(v, axis=1)
+        return lambda blk: np.exp(_log_det(blk))
     if name == "lambda_variance":
-        center = 1.0 / dims.n
-        return lambda v: np.mean((v - center) ** 2, axis=1)
+        return _lambda_variance
     match = _POWER_RE.match(name)
     if match is not None:
         k = int(match.group(2))
         if k < 1:
             raise ValueError(f"power must be >= 1 in {name!r}")
         if match.group(1) == "det_power":
-            return lambda v: np.prod(v, axis=1) ** k
-        return lambda v: np.sum(v**k, axis=1)
+            return lambda blk: np.exp(k * _log_det(blk))
+        if k == 1:
+            return lambda blk: np.ones(len(blk.trace))
+        if k == 2:
+            return _purity
+        return lambda blk: np.sum(blk.eigenvalues**k, axis=1)
     raise ValueError(
         f"unknown functional {name!r}; expected purity, entropy, det, "
         "lambda_variance, det_power(k), or trace_power(k)"
     )
 
 
-def _block_ranges(count: int) -> list[tuple[int, int, int]]:
-    """(block_index, start, length) triples covering range(count)."""
-    out = []
-    index = 0
-    start = 0
-    while start < count:
-        length = min(_BLOCK, count - start)
-        out.append((index, start, length))
-        index += 1
-        start += length
-    return out
+def _block_ranges(count: int) -> Iterator[tuple[int, int, int]]:
+    """(block_index, start, length) triples covering range(count), lazily."""
+    for index, start in enumerate(range(0, count, _BLOCK)):
+        yield index, start, min(_BLOCK, count - start)
 
 
 def _merge(
@@ -165,10 +195,10 @@ def _merge(
     return c, mean, m2
 
 
-def _blocks(config: SamplerConfig) -> Iterator[np.ndarray]:
-    """Spectra of the run, one (length, N) array per block, in block order."""
+def _blocks(config: SamplerConfig) -> Iterator[_Block]:
+    """Draws of the run, one block per stream, in block order."""
     for block_index, _, length in _block_ranges(config.sample_count):
-        yield _spectra(config.dims, _block_rng(config.seed, block_index), length)
+        yield _Block(config.dims, _block_rng(config.seed, block_index), length)
 
 
 def estimate_many(
@@ -178,13 +208,13 @@ def estimate_many(
     names = list(functionals)
     if len(set(names)) != len(names):
         raise ValueError("duplicate functional names")
-    fns = [_functional(config.dims, name) for name in names]
+    fns = [_functional(name) for name in names]
 
     merged: list[tuple[int, np.ndarray, np.ndarray]] | None = None
-    for vals in _blocks(config):
+    for blk in _blocks(config):
         partials = []
         for fn in fns:
-            x = fn(vals)
+            x = fn(blk)
             mean = float(np.mean(x))
             m2 = float(np.sum((x - mean) ** 2))
             partials.append((len(x), np.float64(mean), np.float64(m2)))
@@ -212,7 +242,8 @@ def estimate(config: SamplerConfig, functional: str) -> EnsembleEstimate:
 
 def rescaled_eigenvalues(config: SamplerConfig) -> np.ndarray:
     """All sampled eigenvalues times N, pooled in block order."""
-    return np.concatenate([(config.dims.n * vals).ravel() for vals in _blocks(config)])
+    n = config.dims.n
+    return np.concatenate([(n * blk.eigenvalues).ravel() for blk in _blocks(config)])
 
 
 @dataclass(frozen=True)

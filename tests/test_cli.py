@@ -34,6 +34,10 @@ def test_typical_example(capsys):
 def test_typical_degenerate_cases(capsys):
     doc = _run_json(capsys, "typical", "--n", "1", "--m", "5")
     assert doc["spectrum"] == [1.0]
+    doc = _run_json(capsys, "typical", "--n", "1", "--m", "1")
+    assert doc["spectrum"] == [1.0]
+    assert doc["invariants_s"] == {"s_1": 1}
+    assert doc["determinant"] == 1
     doc = _run_json(capsys, "typical", "--n", "2", "--m", "2")
     assert doc["spectrum"] == pytest.approx([1.0, 0.0], abs=1e-12)
 

@@ -94,6 +94,15 @@ def test_balanced_invariant_s_n_vanishes():
     assert typical_quantities(BipartitionDims(4, 4)).invariants_s(4) == 0.0
 
 
+def test_single_level_invariant_is_the_unit_trace():
+    """At N = M = 1 the typical spectrum is [1], so s_1 = 1, not the
+    balanced zero eigenvalue's s_N = 0."""
+    assert invariant_s_exact(1, 1, 1) == 1
+    typ = typical_quantities(BipartitionDims(1, 1))
+    assert typ.invariants_s(1) == 1.0
+    assert typ.invariants_s_table() == [1.0]
+
+
 def test_invariants_table_equals_per_k_values():
     for n, m in [(1, 1), (5, 5), (7, 12), (300, 301), (4, 2500)]:
         typ = typical_quantities(BipartitionDims(n, m))

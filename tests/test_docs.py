@@ -1,5 +1,6 @@
 """The README's examples run as written, and every module's __all__ resolves."""
 
+import argparse
 import importlib
 import os
 import re
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import typent
-from typent import cli
+from typent import cli, sampler
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 
@@ -79,3 +80,23 @@ def test_import_leaves_scipy_special_and_integrate_unloaded():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout
     assert out.strip() == "[]"
+
+
+def test_functional_help_names_exactly_what_the_sampler_accepts():
+    parser = cli._build_parser()
+    commands = next(
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    option = next(
+        a
+        for a in commands.choices["sample"]._actions
+        if "--functional" in a.option_strings
+    )
+    listed = option.help.split(";")[0].split(", ")
+    with pytest.raises(ValueError) as err:
+        sampler._functional("norm")
+    expected = str(err.value).split("expected ", 1)[1].replace("or ", "")
+    assert listed == expected.split(", ")
+    for name in listed:
+        for k in (1, 2, 3):
+            sampler._functional(name.replace("(k)", f"({k})"))

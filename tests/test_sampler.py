@@ -1,17 +1,23 @@
+import itertools
+from collections.abc import Iterator
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
+from typent import sampler
 from typent.closedform import mean_moments
 from typent.continuum import ks_distance, marchenko_pastur
 from typent.core import BipartitionDims
 from typent.sampler import (
     SamplerConfig,
+    _Block,
     _block_ranges,
     _block_rng,
-    _spectra,
+    _functional,
+    _log_det,
     estimate,
     estimate_json_dict,
     estimate_many,
@@ -27,14 +33,19 @@ def _config(n, m, count, seed=0, **kw):
 
 def test_reproducible_across_dispatch():
     """Same seed must give bit-identical results on every run; the stream is
-    keyed by fixed-size block, and the frozen values below pin it."""
-    base = estimate(_config(3, 5, 4000, seed=42), "purity")
+    keyed by fixed-size block, and the frozen values below pin it: purity on
+    the closed form over the draws, entropy on the dsterf eigenvalues."""
+    cfg = _config(3, 5, 4000, seed=42)
+    base = estimate(cfg, "purity")
     again = estimate(_config(3, 5, 4000, seed=42), "purity")
     assert again.mean == base.mean
     assert again.std_error == base.std_error
     assert again.count == base.count
     assert base.mean == 0.49882356269587635
     assert base.std_error == 0.0011139984509187623
+    ent = estimate(cfg, "entropy")
+    assert ent.mean == 0.8365280165548628
+    assert ent.std_error == 0.0016882252650603207
 
 
 def test_seed_changes_stream():
@@ -55,7 +66,7 @@ def test_sample_spectrum_basic():
     v = spec.values
     assert v.shape == (4,)
     # a thin wrapper over the block kernel: same draws, descending order
-    same = _spectra(BipartitionDims(4, 7), np.random.default_rng(0), 1)[0]
+    same = _Block(BipartitionDims(4, 7), np.random.default_rng(0), 1).eigenvalues[0]
     assert np.array_equal(v, same[::-1])
     assert abs(v.sum() - 1.0) <= 1e-12
     assert np.all(np.diff(v) <= 0.0)
@@ -102,11 +113,91 @@ def test_config_validation():
         _config(2, 2, 10, seed=2**64)
 
 
+EIGENSOLVE_FREE = [
+    "purity",
+    "det",
+    "lambda_variance",
+    "det_power(3)",
+    "trace_power(1)",
+    "trace_power(2)",
+]
+
+
 def test_estimate_many_matches_singles():
+    """A functional's route is fixed by its name: asking for eigenvalue
+    functionals alongside never moves the bits of an eigensolve-free one."""
     cfg = _config(2, 4, 3000, seed=9)
-    both = estimate_many(cfg, ["purity", "det"])
-    assert both["purity"] == estimate(cfg, "purity")
-    assert both["det"] == estimate(cfg, "det")
+    names = EIGENSOLVE_FREE + ["entropy", "trace_power(3)"]
+    together = estimate_many(cfg, names)
+    for name in names:
+        assert together[name] == estimate(cfg, name), name
+    assert together["trace_power(2)"].mean == together["purity"].mean
+
+
+@pytest.mark.parametrize(
+    "n, m", [(1, 5), (2, 2), (3, 7), (16, 16), (64, 64), (64, 256)]
+)
+def test_closed_forms_match_eigenvalues_of_the_same_draws(n, m):
+    dims = BipartitionDims(n, m)
+    blk = _Block(dims, _block_rng(2027, n * 1000 + m), 1024)
+    v = blk.eigenvalues
+    by_eigenvalues = {
+        "purity": np.sum(v * v, axis=1),
+        "trace_power(2)": np.sum(v * v, axis=1),
+        "lambda_variance": np.mean((v - 1.0 / n) ** 2, axis=1),
+    }
+    for name, want in by_eigenvalues.items():
+        got = _functional(name)(blk)
+        assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want)), name
+    # dsterf's absolute error on eigenvalues near 0 limits this comparison
+    prod = np.prod(v, axis=1)
+    ok = np.isfinite(prod) & (prod > 0.0)
+    assert ok.any()
+    log_det = _log_det(blk)
+    assert np.max(np.abs(log_det[ok] - np.log(prod[ok]))) <= 1e-9
+    assert np.array_equal(_functional("det")(blk), np.exp(log_det))
+    assert np.array_equal(_functional("det_power(2)")(blk), np.exp(2 * log_det))
+
+
+def test_only_eigenvalue_functionals_call_dsterf(monkeypatch):
+    cfg = _config(5, 8, 1500, seed=3)
+    calls = []
+    real = sampler.dsterf
+
+    def counting(d, e):
+        calls.append(len(d))
+        return real(d, e)
+
+    monkeypatch.setattr(sampler, "dsterf", counting)
+    estimate(cfg, "entropy")
+    assert len(calls) == cfg.sample_count
+    calls.clear()
+    estimate(cfg, "trace_power(3)")
+    assert len(calls) == cfg.sample_count
+
+    def refuse(d, e):
+        raise AssertionError("dsterf called")
+
+    monkeypatch.setattr(sampler, "dsterf", refuse)
+    for name in EIGENSOLVE_FREE:
+        assert estimate(cfg, name).count == cfg.sample_count
+    assert set(estimate_many(cfg, EIGENSOLVE_FREE)) == set(EIGENSOLVE_FREE)
+    for run in (
+        lambda: estimate(cfg, "entropy"),
+        lambda: histogram_rescaled(cfg, bins=16),
+    ):
+        with pytest.raises(AssertionError, match="dsterf called"):
+            run()
+
+
+def test_block_ranges_are_lazy():
+    """The blocks of a run are produced one at a time, so a huge sample count
+    allocates nothing up front."""
+    assert isinstance(_block_ranges(2500), Iterator)
+    three = [(0, 0, 1024), (1, 1024, 1024), (2, 2048, 452)]
+    assert list(_block_ranges(2500)) == three
+    head = list(itertools.islice(_block_ranges(10**18), 3))
+    assert head == [(0, 0, 1024), (1, 1024, 1024), (2, 2048, 1024)]
 
 
 def test_grid_agrees_with_closed_forms():
@@ -146,11 +237,11 @@ def test_rescaled_eigenvalues_follow_block_order():
     """Pooled values are each block's spectra times N, concatenated in block
     order, the last block partial."""
     cfg = _config(3, 5, 2500, seed=11)
-    blocks = _block_ranges(cfg.sample_count)
+    blocks = list(_block_ranges(cfg.sample_count))
     assert [length for _, _, length in blocks] == [1024, 1024, 452]
     expected = np.concatenate(
         [
-            (3 * _spectra(cfg.dims, _block_rng(cfg.seed, index), length)).ravel()
+            3 * _Block(cfg.dims, _block_rng(cfg.seed, index), length).eigenvalues.ravel()
             for index, _, length in blocks
         ]
     )
@@ -219,7 +310,7 @@ def test_laguerre_kernel_matches_ginibre_oracle(n, m, count, ref_count):
     two-sample KS on pooled eigenvalues and on per-sample purity, and purity
     and entropy means within 4 combined standard errors."""
     dims = BipartitionDims(n, m)
-    new = _spectra(dims, _block_rng(2026, 0), count)
+    new = _Block(dims, _block_rng(2026, 0), count).eigenvalues
     g = np.random.default_rng(n * 1000 + m)
     # 128-sample chunks bound the dense kernel's memory at 64 x 256
     ref = np.concatenate(
@@ -256,12 +347,12 @@ def test_degenerate_dimensions():
 def test_kernel_properties(n, extra, seed, count):
     dims = BipartitionDims(n, n + extra)
     for index, _, length in _block_ranges(count):
-        vals = _spectra(dims, _block_rng(seed, index), length)
+        vals = _Block(dims, _block_rng(seed, index), length).eigenvalues
         assert vals.shape == (length, n)
         assert np.all(np.diff(vals, axis=1) >= 0.0)
         assert vals.min() >= 0.0
         assert np.max(np.abs(vals.sum(axis=1) - 1.0)) <= 1e-12
     cfg = SamplerConfig(dims, sample_count=count, seed=seed)
-    names = ["purity", "entropy", "det"]
+    names = ["purity", "entropy", "det", "lambda_variance", "det_power(2)"]
     base = estimate_many(cfg, names)
     assert estimate_many(cfg, names) == base
