@@ -249,6 +249,8 @@ def _run_sample(args) -> tuple[str, dict]:
         seed=args.seed if args.seed is not None else 0,
     )
     if args.histogram_bins is not None:
+        if args.functional is not None:
+            raise ValueError("--histogram-bins emits the histogram and takes no --functional")
         table = sampler.histogram_rescaled(config, args.histogram_bins)
         return "table", {
             "columns": ["bin_left", "bin_right", "density"],
@@ -387,7 +389,9 @@ def _build_parser() -> argparse.ArgumentParser:
                    "trace_power(k); all but entropy and trace_power(k >= 3) "
                    "skip the eigensolve")
     p.add_argument("--histogram-bins", type=int, default=None, dest="histogram_bins",
-                   help="emit the rescaled eigenvalue histogram instead")
+                   help="emit the histogram of N*lambda instead of an estimate "
+                   "(no --functional); Sturm counts bin it without an eigensolve, "
+                   "in memory bounded by one block")
     common(p)
 
     p = sub.add_parser("density", help="continuum density on a 512-point grid")

@@ -13,8 +13,12 @@ all 2N-1 draws, has the law of tr(W W*).
 A functional's route is fixed by its name.  tr T^2 = sum d^2 + 2 sum a_i b_i
 (d = a + (0, b) the diagonal of T) and det T = prod a, so purity,
 lambda_variance, det, det_power(k) and trace_power(k <= 2) cost O(N) per
-sample.  Entropy, trace_power(k >= 3) and the eigenvalue outputs diagonalize
-T/tr(T) with LAPACK dsterf, O(N^2) work per spectrum.
+sample.  Entropy, trace_power(k >= 3), rescaled_eigenvalues and
+sample_spectrum diagonalize T/tr(T) with LAPACK dsterf, O(N^2) work per
+spectrum.  The histogram needs only how many eigenvalues lie below each bin
+edge, which one O(N) Sturm sign count of T per edge gives; it runs dsterf
+only on the few spectra that may hold the largest eigenvalue (its top edge)
+or one below the clamp window.
 
 Determinism contract: the same (seed, dims, sample_count) gives the same
 bits.  Each fixed-size block of samples is drawn from its own counter-based
@@ -26,6 +30,7 @@ parallel.)
 
 from __future__ import annotations
 
+import numbers
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -51,6 +56,11 @@ __all__ = [
 
 _BLOCK = 1024
 _CLAMP = -1e-13
+# margin between Sturm counts and dsterf values of T/tr(T), relative to its
+# largest eigenvalue (<= 1): far above the rounding of either
+_GUARD = 1e-10
+# Sturm work arrays hold at most this many (row, edge) cells
+_CELLS = 1 << 15
 _POWER_RE = re.compile(r"^(det_power|trace_power)\((\d+)\)$")
 
 
@@ -63,6 +73,10 @@ class SamplerConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("sample_count", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.sample_count < 1:
             raise ValueError(f"sample_count must be >= 1, got {self.sample_count}")
         if not 0 <= self.seed < 2**64:
@@ -96,26 +110,56 @@ class _Block:
         self.off_sq = self.a[:, :-1] * b
         self.trace = self.diag.sum(axis=1)
 
-    @cached_property
-    def eigenvalues(self) -> np.ndarray:
-        """Ascending eigenvalues of every T/tr(T), shape (count, N)."""
-        tr = self.trace[:, None]
-        vals = self.diag / tr
-        off = np.sqrt(self.off_sq) / tr
+    def solve(self, rows=slice(None)) -> np.ndarray:
+        """Ascending dsterf eigenvalues of T/tr(T) for the given rows, unclipped."""
+        tr = self.trace[rows, None]
+        vals = self.diag[rows] / tr
+        off = np.sqrt(self.off_sq[rows]) / tr
         if vals.shape[1] > 1:
             # each row of `vals` is replaced by its eigenvalues, ascending
             for d, e in zip(vals, off):
                 d[:], info = dsterf(d, e)
                 if info != 0:
                     raise ConvergenceError(f"LAPACK dsterf failed with info={info}")
-        low = float(vals.min())
-        if low < _CLAMP:
-            raise AccuracyError(
-                "sampled spectrum has an eigenvalue below the clamp window",
-                value=low,
-            )
+        return vals
+
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        """Ascending eigenvalues of every T/tr(T), shape (count, N)."""
+        vals = self.solve()
+        _check_clamp(float(vals.min()))
         np.clip(vals, 0.0, None, out=vals)
         return vals
+
+    def count_below(self, rows, x: float | np.ndarray) -> np.ndarray:
+        """Eigenvalues of T/tr(T) below each x, per row, shape (rows, x columns).
+
+        x broadcasts against (rows, 1).  The count is the number of negative
+        pivots of the LDL^T factorization of T - x tr(T) (a Sturm sign count);
+        a zero pivot counts as +0, so the next pivot is -inf and counted.
+        """
+        diag, off_sq = self.diag[rows], self.off_sq[rows]
+        shift = self.trace[rows, None] * x
+        q = diag[:, :1] - shift
+        neg = q < 0.0
+        count = neg.astype(np.int32)
+        scratch = np.empty_like(q)
+        with np.errstate(divide="ignore", over="ignore"):
+            for i in range(1, diag.shape[1]):
+                np.divide(off_sq[:, i - 1 : i], q, out=q)
+                np.subtract(diag[:, i : i + 1], shift, out=scratch)
+                np.subtract(scratch, q, out=q)
+                np.less(q, 0.0, out=neg)
+                count += neg
+        return count
+
+
+def _check_clamp(low: float) -> None:
+    if low < _CLAMP:
+        raise AccuracyError(
+            "sampled spectrum has an eigenvalue below the clamp window",
+            value=low,
+        )
 
 
 def sample_spectrum(dims: BipartitionDims, rng: np.random.Generator) -> Spectrum:
@@ -260,14 +304,70 @@ class HistogramTable:
         ]
 
 
+def _top_edge(config: SamplerConfig) -> float:
+    """max(4, N * largest sampled eigenvalue), bit for bit as from dsterf.
+
+    A row is dropped once a Sturm count proves that its largest eigenvalue
+    sits below the running maximum, or below one of another row, by more
+    than the guard; dsterf runs only on the rows that are left.
+    """
+    n = config.dims.n
+    top = 4.0
+    for blk in _blocks(config):
+        lo = top / n
+        below = blk.count_below(slice(None), lo * (1.0 - _GUARD))
+        rows = np.flatnonzero(below[:, 0] < n)
+        # lambda_max <= sqrt(tr (T/tr T)^2) bounds the shared bisection above;
+        # it stops once dsterf on the rows left costs less than more steps
+        hi = float(np.sqrt(_purity(blk)[rows].max())) if len(rows) else lo
+        while len(rows) > 4 and hi > lo * (1.0 + _GUARD):
+            t = 0.5 * (lo + hi)
+            below = blk.count_below(rows, np.array([t * (1.0 - _GUARD), t]))
+            if np.any(below[:, 1] < n):
+                rows = rows[below[:, 0] < n]
+                lo = t
+            else:
+                hi = t
+        if len(rows):
+            top = max(top, float(n * blk.solve(rows)[:, -1].max()))
+    return top
+
+
+def _sturm_counts(blk: _Block, edges: np.ndarray) -> np.ndarray:
+    """Per-bin counts of N*lambda over the block, as np.histogram gives them."""
+    n, size = blk.diag.shape[1], len(blk.trace)
+    # every row that dsterf could put below _CLAMP is handed to it
+    x = np.concatenate(([_CLAMP + _GUARD], edges[1:-1] / n))
+    step = max(1, _CELLS // len(x))
+    below = np.zeros(len(x), dtype=np.intp)
+    for start in range(0, size, step):
+        rows = slice(start, start + step)
+        count = blk.count_below(rows, x)
+        bad = np.flatnonzero(count[:, 0])
+        if len(bad):
+            _check_clamp(float(blk.solve(start + bad).min()))
+        below += count.sum(axis=0)
+    # eigenvalues in [_CLAMP, 0) are clipped to 0, so every one is >= edges[0]
+    return np.diff(below[1:], prepend=0, append=size * n)
+
+
 def histogram_rescaled(config: SamplerConfig, bins: int) -> HistogramTable:
-    """Histogram of mu = N*lambda over uniform bins on [0, max(4, observed))."""
+    """Histogram of mu = N*lambda over uniform bins on [0, max(4, observed)).
+
+    Equal to np.histogram(rescaled_eigenvalues(config), edges, density=True)
+    except where an eigenvalue lies within rounding of an interior bin edge,
+    with memory bounded by one block: the draws are regenerated from their
+    streams in a second pass that counts into the edges the first one fixed.
+    Like rescaled_eigenvalues, it raises AccuracyError when dsterf puts an
+    eigenvalue below the clamp window.
+    """
     if bins < 10:
         raise ValueError(f"bins must be >= 10, got {bins}")
-    mu = rescaled_eigenvalues(config)
-    top = max(4.0, float(mu.max()))
-    edges = np.linspace(0.0, top, bins + 1)
-    density, _ = np.histogram(mu, bins=edges, density=True)
+    edges = np.linspace(0.0, _top_edge(config), bins + 1)
+    counts = np.zeros(bins, dtype=np.intp)
+    for blk in _blocks(config):
+        counts += _sturm_counts(blk, edges)
+    density = counts / np.diff(edges) / counts.sum()
     return HistogramTable(edges=edges, density=density)
 
 

@@ -127,6 +127,21 @@ def test_sample_histogram_csv(capsys):
     assert area == pytest.approx(1.0, rel=1e-9)
 
 
+def test_sample_histogram_rejects_functional(capsys, tmp_path):
+    """The histogram ignores --functional, so asking for both is a usage
+    error, whether the functional comes from a flag or a config file."""
+    argv = ("sample", "--n", "2", "--m", "2", "--samples", "100", "--histogram-bins", "12")
+    code, out, err = _run(capsys, *argv, "--functional", "entropy")
+    assert code == 2
+    assert out == ""
+    assert "--histogram-bins" in err and "--functional" in err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("functional = purity\n")
+    code, out, err = _run(capsys, *argv, "--config", str(cfg))
+    assert code == 2
+    assert "--functional" in err
+
+
 def test_density_csv(capsys):
     code, out, err = _run(capsys, "density", "--kind", "semicircle", "--beta", "2",
                           "--format", "csv")

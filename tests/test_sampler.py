@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from collections.abc import Iterator
 
 import numpy as np
@@ -11,6 +12,7 @@ from typent import sampler
 from typent.closedform import mean_moments
 from typent.continuum import ks_distance, marchenko_pastur
 from typent.core import BipartitionDims
+from typent.errors import AccuracyError
 from typent.sampler import (
     SamplerConfig,
     _Block,
@@ -113,6 +115,21 @@ def test_config_validation():
         _config(2, 2, 10, seed=2**64)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("sample_count", 5.5), ("sample_count", True), ("sample_count", "10"),
+     ("seed", 1.0), ("seed", False), ("seed", None)],
+)
+def test_config_rejects_non_integer_counts_and_seeds(field, value):
+    """A float count used to fail deep in the block loop, and True drew one
+    sample; both are refused when the config is built."""
+    kw = {"sample_count": 10, "seed": 0, field: value}
+    with pytest.raises(ValueError, match=field):
+        SamplerConfig(BipartitionDims(2, 2), **kw)
+    ok = SamplerConfig(BipartitionDims(2, 2), np.int64(10), seed=np.uint64(3))
+    assert estimate(ok, "purity").count == 10
+
+
 EIGENSOLVE_FREE = [
     "purity",
     "det",
@@ -174,6 +191,12 @@ def test_only_eigenvalue_functionals_call_dsterf(monkeypatch):
     calls.clear()
     estimate(cfg, "trace_power(3)")
     assert len(calls) == cfg.sample_count
+    # the histogram's Sturm route diagonalizes only the few spectra that may
+    # hold the largest eigenvalue, which fixes the top edge
+    for hist_cfg in (cfg, _config(8, 8, 5000, seed=3)):
+        calls.clear()
+        histogram_rescaled(hist_cfg, bins=16)
+        assert len(calls) <= 8, len(calls)
 
     def refuse(d, e):
         raise AssertionError("dsterf called")
@@ -182,12 +205,8 @@ def test_only_eigenvalue_functionals_call_dsterf(monkeypatch):
     for name in EIGENSOLVE_FREE:
         assert estimate(cfg, name).count == cfg.sample_count
     assert set(estimate_many(cfg, EIGENSOLVE_FREE)) == set(EIGENSOLVE_FREE)
-    for run in (
-        lambda: estimate(cfg, "entropy"),
-        lambda: histogram_rescaled(cfg, bins=16),
-    ):
-        with pytest.raises(AssertionError, match="dsterf called"):
-            run()
+    with pytest.raises(AssertionError, match="dsterf called"):
+        estimate(cfg, "entropy")
 
 
 def test_block_ranges_are_lazy():
@@ -268,6 +287,112 @@ def test_histogram_rescaled():
     assert rows[0][0] == 0.0
     with pytest.raises(ValueError):
         histogram_rescaled(cfg, bins=9)
+
+
+def _numpy_histogram(cfg, bins):
+    """The reference: np.histogram over every pooled eigenvalue at once."""
+    mu = rescaled_eigenvalues(cfg)
+    edges = np.linspace(0.0, max(4.0, mu.max()), bins + 1)
+    density, edges = np.histogram(mu, edges, density=True)
+    return edges, density
+
+
+def _assert_same_bits(table, reference):
+    edges, density = reference
+    assert table.edges.tobytes() == edges.tobytes()
+    assert table.density.tobytes() == density.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 8),
+    extra=st.sampled_from([0, 0, 1, 3, 9]),
+    count=st.integers(1, 3100),
+    bins=st.integers(10, 130),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_histogram_matches_numpy_on_the_pooled_eigenvalues(n, extra, count, bins, seed):
+    """Edges and density equal np.histogram(density=True) on
+    rescaled_eigenvalues bit for bit (no eigenvalue of these draws lies
+    within rounding of a bin edge), from few to many bins per eigenvalue and
+    across block boundaries."""
+    cfg = _config(n, n + extra, count, seed=seed)
+    _assert_same_bits(histogram_rescaled(cfg, bins), _numpy_histogram(cfg, bins))
+
+
+@pytest.mark.parametrize(
+    "n, m, count, bins",
+    [(64, 64, 2500, 64), (64, 256, 2500, 64), (64, 64, 1100, 330)],
+)
+def test_histogram_matches_numpy_at_64(n, m, count, bins):
+    cfg = _config(n, m, count, seed=n + m)
+    _assert_same_bits(histogram_rescaled(cfg, bins), _numpy_histogram(cfg, bins))
+
+
+def _tamper_row_five(monkeypatch, t11):
+    """Decouple T_11 of row 5 in every block and set it to t11(block), so
+    T_11 / tr(T) is an eigenvalue of that row's T/tr(T)."""
+    real = sampler._blocks
+
+    def tampered(config):
+        for blk in real(config):
+            blk.off_sq[5, 0] = 0.0
+            blk.diag[5, 0] = t11(blk)
+            yield blk
+
+    monkeypatch.setattr(sampler, "_blocks", tampered)
+
+
+def _on_the_clamp_by_rounding(blk):
+    """T_11 - tr * _CLAMP is exactly 0, so a Sturm count at _CLAMP itself sees
+    no eigenvalue below it, while dsterf's T_11 / tr falls below _CLAMP.
+    The mantissa of tr is one that rounds this way; powers of 2 keep it."""
+    exponent = np.frexp(blk.trace[5])[1]
+    blk.trace[5] = t = np.ldexp(float.fromhex("0x1.2309ep+0"), exponent)
+    assert t * sampler._CLAMP / t < sampler._CLAMP
+    return t * sampler._CLAMP
+
+
+@pytest.mark.parametrize(
+    "t11",
+    [lambda blk: -0.01 * blk.trace[5], lambda blk: 2 * sampler._CLAMP * blk.trace[5],
+     _on_the_clamp_by_rounding],
+    ids=["far", "near", "rounding"],
+)
+def test_histogram_rejects_eigenvalues_below_the_clamp(monkeypatch, t11):
+    """A spectrum that dsterf gives an eigenvalue below the clamp window
+    raises AccuracyError with the same value as rescaled_eigenvalues."""
+    _tamper_row_five(monkeypatch, t11)
+    cfg = _config(6, 9, 1500, seed=2)
+    with pytest.raises(AccuracyError) as ref:
+        rescaled_eigenvalues(cfg)
+    for bins in (16, 400):
+        with pytest.raises(AccuracyError) as err:
+            histogram_rescaled(cfg, bins)
+        assert err.value.value == ref.value.value < sampler._CLAMP
+
+
+def test_histogram_clips_eigenvalues_inside_the_clamp_window(monkeypatch):
+    _tamper_row_five(monkeypatch, lambda blk: 0.5 * sampler._CLAMP * blk.trace[5])
+    cfg = _config(6, 9, 1500, seed=2)
+    _assert_same_bits(histogram_rescaled(cfg, 16), _numpy_histogram(cfg, 16))
+
+
+def test_histogram_memory_does_not_grow_with_sample_count():
+    """The two passes regenerate each block from its stream, so the peak of
+    traced allocations is one block's work, whatever the sample count."""
+
+    def peak(count):
+        tracemalloc.start()
+        try:
+            histogram_rescaled(_config(8, 8, count, seed=1), bins=32)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(2048), peak(65536)
+    # the pooled eigenvalues alone would take 65536 * 8 * 8 bytes = 4 MiB
+    assert large <= small + 64 * 1024, (small, large)
 
 
 def test_estimate_json_dict_order():
