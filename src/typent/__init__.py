@@ -9,14 +9,12 @@ Carlo sampler, and the large-N continuum laws.
 from .core import (
     BipartitionDims,
     MajorizationOrder,
-    Quantifiers,
     Spectrum,
     elementary_invariants,
     majorization_compare,
     maximally_mixed,
     pure_state,
     purity,
-    quantifiers,
     renyi_traces,
     schmidt_number,
     von_neumann_entropy,

@@ -70,9 +70,6 @@ class EnsembleMoments:
     mean_entropy: float
     normalization_log: float
 
-    def det_moment(self, k: int) -> float:
-        return det_moment(self.dims, k)
-
 
 def mean_moments(dims: BipartitionDims) -> EnsembleMoments:
     """Mean eigenvalue, Lubkin rms width, mean purity, and the Page entropy."""
@@ -127,11 +124,9 @@ class TypicalQuantities:
     purity: float
     determinant_log: float
 
-    def invariants_s(self, k: int) -> float:
-        return float(invariant_s_exact(self.dims.n, self.dims.m, k))
-
     def invariants_s_table(self) -> list[float]:
-        """[invariants_s(k) for k in 1..N], bit for bit, in O(N) exact steps.
+        """[float(invariant_s_exact(N, M, k)) for k in 1..N], bit for bit, in
+        O(N) exact steps.
 
         s_k = s_(k-1) (N-k+1)(M-k) / (k N (M-1)), so one running rational
         product replaces N factorial ratios.
@@ -153,16 +148,12 @@ class TypicalQuantities:
 def typical_quantities(dims: BipartitionDims) -> TypicalQuantities:
     """Typical purity and determinant.
 
-    The purity is computed by the multiplier route, numerator and denominator
-    in integer arithmetic, so it is bit-identical to (N+M-2)/(N(M-1)).
-    For balanced dims the determinant of the typical spectrum is exactly 0;
+    The purity is the multiplier route's exact rational, rounded once, so it
+    is bit-identical to (N+M-2)/(N(M-1)).  For balanced dims the determinant of the typical spectrum is exactly 0;
     determinant_log then carries the asymptotic scale ln N! - 2N ln N instead.
     """
     n, m = dims.n, dims.m
-    if n == 1:
-        pur = 1.0
-    else:
-        pur = (2 * (n - 1) + (m - n)) / (n * (m - 1))
+    pur = float(typical_purity_multiplier_exact(n, m))
     if m > n:
         det_log = math.lgamma(m) - math.lgamma(m - n) - n * math.log(n * (m - 1))
     else:
@@ -225,12 +216,15 @@ class FormulaRow:
 
 
 def formula_table(dims: BipartitionDims, k_max: int | None = None) -> list[FormulaRow]:
-    """All closed forms at (N, M) as rows (quantity, N, M, value, formula)."""
+    """All closed forms at (N, M) as rows (quantity, N, M, value, formula);
+    the typical s_k run over k = 1..k_max, with 0 <= k_max <= N."""
     n, m = dims.n, dims.m
-    mom = mean_moments(dims)
-    typ = typical_quantities(dims)
     if k_max is None:
         k_max = min(n, 8)
+    elif not 0 <= k_max <= n:
+        raise ValueError(f"k_max must be in 0..{n}, got {k_max}")
+    mom = mean_moments(dims)
+    typ = typical_quantities(dims)
     rows = [
         FormulaRow("mean_purity", n, m, mom.mean_purity, "(N+M)/(N*M+1)"),
         FormulaRow(
@@ -246,7 +240,7 @@ def formula_table(dims: BipartitionDims, k_max: int | None = None) -> list[Formu
             mom.normalization_log,
             "ln[(NM-1)!/prod_j (M-j)!(N-j+1)!]",
         ),
-        FormulaRow("det_moment_1", n, m, mom.det_moment(1), "C_{N,M}/C_{N,M+1}"),
+        FormulaRow("det_moment_1", n, m, det_moment(dims, 1), "C_{N,M}/C_{N,M+1}"),
         FormulaRow("xi_multiplier", n, m, float(n * (m - 1)), "N*(M-1)"),
         FormulaRow("typical_purity", n, m, typ.purity, "(N+M-2)/(N*(M-1))"),
         FormulaRow(
@@ -266,7 +260,7 @@ def formula_table(dims: BipartitionDims, k_max: int | None = None) -> list[Formu
                 f"typical_s_{k}",
                 n,
                 m,
-                typ.invariants_s(k),
+                float(invariant_s_exact(n, m, k)),
                 "N!(M-1)!/(k!(N-k)!(M-k-1)!)/(N*(M-1))^k",
             )
         )

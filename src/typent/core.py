@@ -19,16 +19,13 @@ Conventions
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
 __all__ = [
     "BipartitionDims",
     "Spectrum",
-    "Quantifiers",
     "MajorizationOrder",
     "purity",
     "renyi_traces",
@@ -36,7 +33,6 @@ __all__ = [
     "schmidt_number",
     "elementary_invariants",
     "determinant",
-    "quantifiers",
     "majorization_compare",
 ]
 
@@ -56,15 +52,14 @@ class BipartitionDims:
 
     N is the dimension whose reduced state we study; M >= N is the other
     factor.  `alpha = M - N` controls the one-body confinement of the
-    eigenvalue gas and `mu_ratio = (M - N)/N` is the exact rational aspect
-    ratio used by the large-N formulas.
+    eigenvalue gas.
     """
 
     n: int
     m: int
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or not isinstance(self.m, int):
+        if any(isinstance(d, bool) or not isinstance(d, int) for d in (self.n, self.m)):
             raise ValueError("dimensions must be integers")
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
@@ -74,14 +69,6 @@ class BipartitionDims:
     @property
     def alpha(self) -> int:
         return self.m - self.n
-
-    @property
-    def mu_ratio(self) -> Fraction:
-        return Fraction(self.m - self.n, self.n)
-
-    @property
-    def total(self) -> int:
-        return self.n * self.m
 
     @property
     def balanced(self) -> bool:
@@ -115,19 +102,19 @@ class Spectrum:
         object.__setattr__(self, "values", values)
 
     @classmethod
-    def from_values(cls, values, clamp_tol: float = CLAMP_TOL) -> "Spectrum":
+    def from_values(cls, values) -> "Spectrum":
         """Build a Spectrum from raw eigenvalues: sort, clamp rounding noise, validate.
 
-        Entries in [-clamp_tol, 0) are set to 0; anything more negative is a
+        Entries in [-CLAMP_TOL, 0) are set to 0; anything more negative is a
         construction error, not noise.
         """
         values = np.asarray(values, dtype=float).copy()
         if values.ndim != 1:
             raise ValueError("expected a 1-d array of eigenvalues")
         below = values < 0.0
-        if np.any(values < -clamp_tol):
+        if np.any(values < -CLAMP_TOL):
             raise ValueError(
-                f"eigenvalue {values.min()!r} below the clamp tolerance {-clamp_tol}"
+                f"eigenvalue {values.min()!r} below the clamp tolerance {-CLAMP_TOL}"
             )
         values[below] = 0.0
         values[::-1].sort()
@@ -139,17 +126,6 @@ class Spectrum:
 
     def __len__(self) -> int:
         return self.n
-
-    def to_json(self) -> str:
-        """JSON array of doubles; repr-exact, so parsing returns the same bits."""
-        return json.dumps([float(v) for v in self.values])
-
-    @classmethod
-    def from_json(cls, text: str) -> "Spectrum":
-        return cls(np.asarray(json.loads(text), dtype=float))
-
-    def to_csv_row(self) -> str:
-        return ",".join(repr(float(v)) for v in self.values)
 
 
 class MajorizationOrder(enum.Enum):
@@ -182,10 +158,10 @@ def von_neumann_entropy(spectrum) -> float:
     return float(-np.sum(positive * np.log(positive)))
 
 
-def schmidt_number(spectrum, rel_tol: float = RANK_REL_TOL) -> int:
-    """Number of eigenvalues above rel_tol * lambda_max (the effective rank)."""
+def schmidt_number(spectrum) -> int:
+    """Number of eigenvalues above RANK_REL_TOL * lambda_max (the effective rank)."""
     v = _as_values(spectrum)
-    return int(np.count_nonzero(v > rel_tol * v.max()))
+    return int(np.count_nonzero(v > RANK_REL_TOL * v.max()))
 
 
 def elementary_invariants(spectrum) -> np.ndarray:
@@ -210,43 +186,12 @@ def determinant(spectrum) -> float:
     return float(np.prod(_as_values(spectrum)))
 
 
-@dataclass(frozen=True)
-class Quantifiers:
-    """Scalar entanglement quantifiers of one spectrum."""
-
-    purity: float
-    renyi_traces: np.ndarray
-    entropy: float
-    schmidt_number: int
-    invariants: np.ndarray
-    determinant: float
-
-    def invariants_s(self, k: int) -> float:
-        if not 1 <= k <= self.invariants.size:
-            raise ValueError(f"k must be in 1..{self.invariants.size}, got {k}")
-        return float(self.invariants[k - 1])
-
-
-def quantifiers(spectrum, k_max: int = 5) -> Quantifiers:
-    """Bundle all scalar quantifiers of a spectrum (Renyi traces up to k_max)."""
-    v = _as_values(spectrum)
-    inv = elementary_invariants(v)
-    return Quantifiers(
-        purity=purity(v),
-        renyi_traces=renyi_traces(v, k_max),
-        entropy=von_neumann_entropy(v),
-        schmidt_number=schmidt_number(v),
-        invariants=inv,
-        determinant=float(inv[-1]),
-    )
-
-
-def majorization_compare(a, b, tol: float = MAJORIZATION_TOL) -> MajorizationOrder:
+def majorization_compare(a, b) -> MajorizationOrder:
     """Compare two equal-length spectra in the majorization partial order.
 
     `A_MAJORIZED_BY_B` means every partial sum of a (sorted decreasing) is at
     most the matching partial sum of b, i.e. a is the more mixed of the two.
-    Ties within `tol` do not count as violations in either direction.
+    Ties within MAJORIZATION_TOL do not count as violations in either direction.
     """
     va = np.sort(_as_values(a))[::-1]
     vb = np.sort(_as_values(b))[::-1]
@@ -254,8 +199,8 @@ def majorization_compare(a, b, tol: float = MAJORIZATION_TOL) -> MajorizationOrd
         raise ValueError(f"length mismatch: {va.size} vs {vb.size}")
     ca = np.cumsum(va)
     cb = np.cumsum(vb)
-    a_below = bool(np.all(ca <= cb + tol))
-    b_below = bool(np.all(cb <= ca + tol))
+    a_below = bool(np.all(ca <= cb + MAJORIZATION_TOL))
+    b_below = bool(np.all(cb <= ca + MAJORIZATION_TOL))
     if a_below and b_below:
         return MajorizationOrder.EQUAL
     if a_below:

@@ -96,18 +96,6 @@ class SaddleSolution:
     min_step: float = 1.0
     merit_history: tuple = ()
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.dims.n,
-            "m": self.dims.m,
-            "eta": self.eta,
-            "xi": self.xi,
-            "spectrum": [float(v) for v in self.spectrum.values],
-            "force_residual": self.max_force_residual,
-            "constraint_residuals": [float(c) for c in self.constraint_residuals],
-            "hessian_definite": self.hessian_definite,
-        }
-
 
 def _interior_ok(v: np.ndarray, alpha: int) -> bool:
     if alpha > 0 and np.any(v <= 0.0):

@@ -39,7 +39,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 from scipy.linalg.lapack import dsterf
 
-from .core import BipartitionDims, Spectrum
+from .core import CLAMP_TOL, BipartitionDims, Spectrum
 from .errors import AccuracyError, ConvergenceError
 
 __all__ = [
@@ -55,7 +55,7 @@ __all__ = [
 ]
 
 _BLOCK = 1024
-_CLAMP = -1e-13
+_CLAMP = -CLAMP_TOL
 # margin between Sturm counts and dsterf values of T/tr(T), relative to its
 # largest eigenvalue (<= 1): far above the rounding of either
 _GUARD = 1e-10
@@ -111,7 +111,8 @@ class _Block:
         self.trace = self.diag.sum(axis=1)
 
     def solve(self, rows=slice(None)) -> np.ndarray:
-        """Ascending dsterf eigenvalues of T/tr(T) for the given rows, unclipped."""
+        """Ascending dsterf eigenvalues of T/tr(T) for the given rows, clipped
+        at 0; AccuracyError if one lies below the clamp window."""
         tr = self.trace[rows, None]
         vals = self.diag[rows] / tr
         off = np.sqrt(self.off_sq[rows]) / tr
@@ -121,15 +122,18 @@ class _Block:
                 d[:], info = dsterf(d, e)
                 if info != 0:
                     raise ConvergenceError(f"LAPACK dsterf failed with info={info}")
-        return vals
+        low = float(vals.min())
+        if low < _CLAMP:
+            raise AccuracyError(
+                "sampled spectrum has an eigenvalue below the clamp window",
+                value=low,
+            )
+        return np.clip(vals, 0.0, None, out=vals)
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:
         """Ascending eigenvalues of every T/tr(T), shape (count, N)."""
-        vals = self.solve()
-        _check_clamp(float(vals.min()))
-        np.clip(vals, 0.0, None, out=vals)
-        return vals
+        return self.solve()
 
     def count_below(self, rows, x: float | np.ndarray) -> np.ndarray:
         """Eigenvalues of T/tr(T) below each x, per row, shape (rows, x columns).
@@ -152,14 +156,6 @@ class _Block:
                 np.less(q, 0.0, out=neg)
                 count += neg
         return count
-
-
-def _check_clamp(low: float) -> None:
-    if low < _CLAMP:
-        raise AccuracyError(
-            "sampled spectrum has an eigenvalue below the clamp window",
-            value=low,
-        )
 
 
 def sample_spectrum(dims: BipartitionDims, rng: np.random.Generator) -> Spectrum:
@@ -307,27 +303,15 @@ class HistogramTable:
 def _top_edge(config: SamplerConfig) -> float:
     """max(4, N * largest sampled eigenvalue), bit for bit as from dsterf.
 
-    A row is dropped once a Sturm count proves that its largest eigenvalue
-    sits below the running maximum, or below one of another row, by more
-    than the guard; dsterf runs only on the rows that are left.
+    Per block, one Sturm count drops every row whose largest eigenvalue sits
+    below the running maximum by more than the guard; dsterf runs only on
+    the rows that are left.
     """
     n = config.dims.n
     top = 4.0
     for blk in _blocks(config):
-        lo = top / n
-        below = blk.count_below(slice(None), lo * (1.0 - _GUARD))
+        below = blk.count_below(slice(None), top / n * (1.0 - _GUARD))
         rows = np.flatnonzero(below[:, 0] < n)
-        # lambda_max <= sqrt(tr (T/tr T)^2) bounds the shared bisection above;
-        # it stops once dsterf on the rows left costs less than more steps
-        hi = float(np.sqrt(_purity(blk)[rows].max())) if len(rows) else lo
-        while len(rows) > 4 and hi > lo * (1.0 + _GUARD):
-            t = 0.5 * (lo + hi)
-            below = blk.count_below(rows, np.array([t * (1.0 - _GUARD), t]))
-            if np.any(below[:, 1] < n):
-                rows = rows[below[:, 0] < n]
-                lo = t
-            else:
-                hi = t
         if len(rows):
             top = max(top, float(n * blk.solve(rows)[:, -1].max()))
     return top
@@ -345,7 +329,7 @@ def _sturm_counts(blk: _Block, edges: np.ndarray) -> np.ndarray:
         count = blk.count_below(rows, x)
         bad = np.flatnonzero(count[:, 0])
         if len(bad):
-            _check_clamp(float(blk.solve(start + bad).min()))
+            blk.solve(start + bad)
         below += count.sum(axis=0)
     # eigenvalues in [_CLAMP, 0) are clipped to 0, so every one is >= edges[0]
     return np.diff(below[1:], prepend=0, append=size * n)

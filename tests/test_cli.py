@@ -188,6 +188,20 @@ def test_table_csv(capsys):
     assert float(by_name["typical_s_1"][3]) == 1.0
 
 
+@pytest.mark.parametrize("k_max", ["-1", "3", "5"])
+def test_table_rejects_k_max_outside_0_to_n(capsys, k_max):
+    code, out, err = _run(capsys, "table", "--n", "2", "--m", "3", "--k-max", k_max)
+    assert code == 2 and out == ""
+    assert f"k_max must be in 0..2, got {k_max}" in err
+
+
+def test_table_k_max_sets_the_typical_rows(capsys):
+    for k_max, expected in (("0", []), ("2", ["typical_s_1", "typical_s_2"])):
+        doc = _run_json(capsys, "table", "--n", "2", "--m", "3", "--k-max", k_max)
+        names = [row[0] for row in doc["rows"]]
+        assert [q for q in names if q.startswith("typical_s_")] == expected
+
+
 def test_json_csv_value_identity(capsys):
     doc = _run_json(capsys, "typical", "--n", "3", "--m", "5")
     code, out, err = _run(capsys, "typical", "--n", "3", "--m", "5",

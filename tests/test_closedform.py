@@ -8,6 +8,7 @@ from typent.closedform import (
     FormulaRow,
     asymptotic_traces,
     balanced_det_asymptotic,
+    det_moment,
     formula_table,
     invariant_s_exact,
     log_normalization,
@@ -28,14 +29,12 @@ def test_normalization_small_cases():
 
 
 def test_det_moments():
-    mom = mean_moments(BipartitionDims(2, 2))
-    assert mom.det_moment(1) == pytest.approx(0.1, rel=1e-14)
-    assert mean_moments(BipartitionDims(2, 3)).det_moment(1) == pytest.approx(
-        1.0 / 7.0, rel=1e-14
-    )
-    assert mom.det_moment(0) == 1.0
+    dims = BipartitionDims(2, 2)
+    assert det_moment(dims, 1) == pytest.approx(0.1, rel=1e-14)
+    assert det_moment(BipartitionDims(2, 3), 1) == pytest.approx(1.0 / 7.0, rel=1e-14)
+    assert det_moment(dims, 0) == 1.0
     with pytest.raises(ValueError):
-        mom.det_moment(-1)
+        det_moment(dims, -1)
 
 
 def test_mean_moments_two_by_two():
@@ -91,31 +90,29 @@ def test_invariants_match_laguerre_zero_products():
 
 def test_balanced_invariant_s_n_vanishes():
     assert invariant_s_exact(4, 4, 4) == 0
-    assert typical_quantities(BipartitionDims(4, 4)).invariants_s(4) == 0.0
+    assert typical_quantities(BipartitionDims(4, 4)).invariants_s_table()[3] == 0.0
 
 
 def test_single_level_invariant_is_the_unit_trace():
     """At N = M = 1 the typical spectrum is [1], so s_1 = 1, not the
     balanced zero eigenvalue's s_N = 0."""
     assert invariant_s_exact(1, 1, 1) == 1
-    typ = typical_quantities(BipartitionDims(1, 1))
-    assert typ.invariants_s(1) == 1.0
-    assert typ.invariants_s_table() == [1.0]
+    assert typical_quantities(BipartitionDims(1, 1)).invariants_s_table() == [1.0]
 
 
 def test_invariants_table_equals_per_k_values():
     for n, m in [(1, 1), (5, 5), (7, 12), (300, 301), (4, 2500)]:
         typ = typical_quantities(BipartitionDims(n, m))
-        per_k = [typ.invariants_s(k) for k in range(1, n + 1)]
+        per_k = [float(invariant_s_exact(n, m, k)) for k in range(1, n + 1)]
         assert typ.invariants_s_table() == per_k
 
 
 @pytest.mark.parametrize("n, m", [(4, 2500), (50, 10**6)])
 def test_invariants_are_exact_at_large_m(n, m):
-    typ = typical_quantities(BipartitionDims(n, m))
-    assert typ.invariants_s(1) == 1.0
+    table = typical_quantities(BipartitionDims(n, m)).invariants_s_table()
     exact = [float(invariant_s_exact(n, m, k)) for k in range(1, n + 1)]
-    assert typ.invariants_s_table() == exact
+    assert table[0] == 1.0
+    assert table == exact
 
 
 def test_typical_vs_mean_purity_gap():

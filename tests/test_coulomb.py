@@ -270,22 +270,6 @@ def test_numeric_solver_matches_polynomial_routes(n, extra, fraction):
     assert np.max(np.abs(numeric.spectrum.values - exact)) <= 1e-9
 
 
-def test_solution_json_shape():
-    sol = typical_solution(BipartitionDims(2, 3))
-    d = sol.to_json_dict()
-    assert set(d) == {
-        "n",
-        "m",
-        "eta",
-        "xi",
-        "spectrum",
-        "force_residual",
-        "constraint_residuals",
-        "hessian_definite",
-    }
-    assert d["hessian_definite"] is True
-
-
 def test_saddle_routes_factor_with_scipy_once_per_accepted_point(monkeypatch):
     """Definiteness comes from the Newton loop's own Cholesky factor at the
     returned point: scipy's cho_factor runs once per accepted point

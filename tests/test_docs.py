@@ -58,6 +58,13 @@ def test_readme_library_example_runs(capsys):
     assert "+/-" in capsys.readouterr().out
 
 
+def test_readme_layout_lists_exactly_the_modules():
+    listed = [line.split()[0] for line in _fenced_block("Layout", "").splitlines()[1:]]
+    package = Path(typent.__file__).resolve().parent
+    modules = [p.name for p in package.glob("*.py") if p.name != "__init__.py"]
+    assert sorted(listed) == sorted(modules)
+
+
 @pytest.mark.parametrize("name", MODULES)
 def test_star_import_and_all_entries(name):
     module = importlib.import_module(f"typent.{name}")

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
 from typent import sampler
-from typent.closedform import mean_moments
+from typent.closedform import det_moment, mean_moments
 from typent.continuum import ks_distance, marchenko_pastur
 from typent.core import BipartitionDims
 from typent.errors import AccuracyError
@@ -192,11 +192,16 @@ def test_only_eigenvalue_functionals_call_dsterf(monkeypatch):
     estimate(cfg, "trace_power(3)")
     assert len(calls) == cfg.sample_count
     # the histogram's Sturm route diagonalizes only the few spectra that may
-    # hold the largest eigenvalue, which fixes the top edge
-    for hist_cfg in (cfg, _config(8, 8, 5000, seed=3)):
+    # hold the largest eigenvalue, which fixes the top edge; diagonalizing
+    # every spectrum would take one call per sample
+    for hist_cfg, bins, bound in (
+        (cfg, 16, 8),
+        (_config(8, 8, 5000, seed=3), 16, 8),
+        (_config(64, 64, 4096, seed=3), 64, 64),
+    ):
         calls.clear()
-        histogram_rescaled(hist_cfg, bins=16)
-        assert len(calls) <= 8, len(calls)
+        histogram_rescaled(hist_cfg, bins=bins)
+        assert len(calls) <= bound, len(calls)
 
     def refuse(d, e):
         raise AssertionError("dsterf called")
@@ -232,7 +237,7 @@ def test_grid_agrees_with_closed_forms():
             targets = {
                 "purity": mom.mean_purity,
                 "entropy": mom.mean_entropy,
-                "det": mom.det_moment(1),
+                "det": det_moment(dims, 1),
             }
             for name, target in targets.items():
                 est = got[name]
