@@ -10,14 +10,14 @@ rescaled stiffness eta / N^3 of the balanced fixed-purity problem
 (IsopurityProblem.beta); finite_n_convergence measures how fast its
 rescaled spectrum approaches the semicircle.
 
-The singular integral machinery checks that each density actually solves
-its force-balance equation
+tricomi_residual checks that each density actually solves its
+force-balance equation
 
-    beta*mu + PV integral sigma(l)/(l - mu) dl + zeta/2 = 0,
+    beta*mu + PV integral sigma(l)/(l - mu) dl + zeta/2 = 0.
 
-with the principal value computed by singularity subtraction: an analytic
-log term for the subtracted pole plus ordinary adaptive quadrature, and a
-small Taylor patch (using the analytic sigma') straddling the pole.
+The principal value subtracts the pole: the bounded quotient
+(sigma(l) - sigma(mu))/(l - mu) goes to one adaptive quadrature with mu as
+a break point, and the subtracted pole contributes an exact log term.
 """
 
 from __future__ import annotations
@@ -69,10 +69,15 @@ def semicircle(beta: float) -> ContinuumDensity:
             f"semicircle family needs finite beta >= {BETA_CRITICAL}, got {beta}"
         )
     half_width = math.sqrt(BETA_CRITICAL / beta)
+    a, b = 1.0 - half_width, 1.0 + half_width
+    if not a < 1.0 < b:
+        raise ValueError(
+            f"semicircle support 1 +- {half_width:.3g} rounds to the point 1 at beta = {beta}"
+        )
     return ContinuumDensity(
         kind="semicircle",
         beta=float(beta),
-        support=(1.0 - half_width, 1.0 + half_width),
+        support=(a, b),
         rescaled_purity=1.0 + 1.0 / (2.0 * beta),
     )
 
@@ -106,15 +111,6 @@ def density_value(d: ContinuumDensity, mu: float) -> float:
         return 0.0
     # (mu - a)/mu is exactly 1 at c = 1, so MP(1) keeps sqrt((4 - mu)/mu)/(2 pi)
     return math.sqrt((b - mu) / mu * ((mu - a) / mu)) / (2.0 * math.pi * d.ratio)
-
-
-def _density_slope(d: ContinuumDensity, mu: float) -> float:
-    """Analytic sigma'(mu) strictly inside the support."""
-    a, b = d.support
-    root = math.sqrt((mu - a) * (b - mu))
-    if d.kind == "semicircle":
-        return d.beta / math.pi * (a + b - 2.0 * mu) / (2.0 * root)
-    return (2.0 * a * b - (a + b) * mu) / (4.0 * math.pi * d.ratio * mu * mu * root)
 
 
 def density_grid(d: ContinuumDensity, points: int = 512) -> tuple[np.ndarray, np.ndarray]:
@@ -156,34 +152,21 @@ def _quad_checked(f, a: float, b: float, what: str, **kw) -> float:
 def moments(d: ContinuumDensity) -> tuple[float, float, float]:
     """(mass, mean, second moment) by adaptive quadrature.
 
-    The semicircle is a constant times the algebraic endpoint weight
-    sqrt((mu - a)(b - mu)), delegated to the weighted rule exactly.  MP(c)
-    is integrated in the angle of mu = b cos^2(t/2) + a sin^2(t/2), where
-    sigma(mu) dmu = (2/pi) sin^2(t) / mu dt is smooth on [0, pi] for every
-    ratio, the hard edge of c = 1 included.
+    Both laws are integrated in the angle of mu = b cos^2(t/2) + a sin^2(t/2),
+    where sigma(mu) dmu = (2/pi) sin^2(t) mu^(-p) dt is smooth on [0, pi]:
+    p = 1 for MP(c) at every ratio, the hard edge of c = 1 included, and
+    p = 0 for the semicircle, whose (b - a)^2/4 is 2/beta.
     """
     a, b = d.support
+    p = 0 if d.kind == "semicircle" else 1
     out = []
     for k in range(3):
-        what = f"moment {k} of {d.kind}"
-        if d.kind == "semicircle":
-            out.append(
-                _quad_checked(
-                    lambda x: d.beta / math.pi * x**k,
-                    a,
-                    b,
-                    what,
-                    weight="alg",
-                    wvar=(0.5, 0.5),
-                )
-            )
-        else:
 
-            def integrand(t: float) -> float:
-                mu = b * math.cos(0.5 * t) ** 2 + a * math.sin(0.5 * t) ** 2
-                return 2.0 / math.pi * math.sin(t) ** 2 * mu ** (k - 1)
+        def integrand(t: float) -> float:
+            mu = b * math.cos(0.5 * t) ** 2 + a * math.sin(0.5 * t) ** 2
+            return 2.0 / math.pi * math.sin(t) ** 2 * mu ** (k - p)
 
-            out.append(_quad_checked(integrand, 0.0, math.pi, what))
+        out.append(_quad_checked(integrand, 0.0, math.pi, f"moment {k} of {d.kind}"))
     return out[0], out[1], out[2]
 
 
@@ -252,9 +235,9 @@ def ks_distance(values, d: ContinuumDensity) -> float:
 def _principal_value(d: ContinuumDensity, mu: float) -> float:
     """PV integral of sigma(l)/(l - mu) over the support, mu strictly inside.
 
-    Subtraction form: integrate (sigma(l) - sigma(mu))/(l - mu) with a
-    Taylor patch of half-width delta around the pole, then add the exact
-    sigma(mu) * ln((b - mu)/(mu - a)) term from the subtracted pole.
+    Subtraction form: the quotient (sigma(l) - sigma(mu))/(l - mu) is
+    bounded near the pole, so one quadrature with mu as a break point
+    integrates it; the subtracted pole adds sigma(mu) * ln((b - mu)/(mu - a)).
     """
     a, b = d.support
     s_mu = density_value(d, mu)
@@ -262,13 +245,8 @@ def _principal_value(d: ContinuumDensity, mu: float) -> float:
     def h(lam: float) -> float:
         return (density_value(d, lam) - s_mu) / (lam - mu)
 
-    gap = min(mu - a, b - mu)
-    delta = min(1e-4, 0.25 * gap)
-    left = _quad_checked(h, a, mu - delta, f"pv left of {mu:.6g}")
-    right = _quad_checked(h, mu + delta, b, f"pv right of {mu:.6g}")
-    patch = 2.0 * delta * _density_slope(d, mu)
-    log_term = s_mu * math.log((b - mu) / (mu - a))
-    return left + right + patch + log_term
+    smooth = _quad_checked(h, a, b, f"pv at {mu:.6g}", points=[mu])
+    return smooth + s_mu * math.log((b - mu) / (mu - a))
 
 
 def tricomi_residual(d: ContinuumDensity, grid) -> float:

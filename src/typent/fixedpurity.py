@@ -128,6 +128,13 @@ def _mapped_zeros(n: int, eta: float) -> np.ndarray:
     return hermite_zeros(spec)
 
 
+def _smallest_hermite_zero(n: int) -> float:
+    """h_min < 0, the smallest zero of H_n; the mapped zeros are 1/n + h/sqrt(eta)."""
+    if n < 2:
+        raise ValueError(f"n must be >= 2, got {n}")
+    return hermite_zeros(HermiteSpec(degree=n, shift=0.0, scale=1.0))[0]
+
+
 def solve_isopurity(problem: IsopurityProblem) -> FixedPuritySolution:
     """Solve the balanced fixed-purity problem via mapped Hermite zeros."""
     zeros = _mapped_zeros(problem.n, problem.eta)
@@ -166,9 +173,7 @@ def critical_threshold(n: int) -> CriticalThreshold:
     smallest zero of H_n, which does not depend on eta.  It is increasing in
     eta and crosses zero at eta_plus = (n h_min)^2 exactly.
     """
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
-    h_min = hermite_zeros(HermiteSpec(degree=n, shift=0.0, scale=1.0))[0]
+    h_min = _smallest_hermite_zero(n)
     eta_plus = float(n * h_min) ** 2
     return CriticalThreshold(
         n=n,
@@ -191,19 +196,24 @@ class ScanRow:
 
 
 def threshold_scan(n: int, etas: np.ndarray | list[float]) -> list[ScanRow]:
-    """Feasibility scan over stiffness values, one row per eta."""
+    """Feasibility scan over stiffness values, one row per eta.
+
+    eta only rescales the zeros, so H_n is solved once: the smallest
+    mapped zero is 1/n + h_min/sqrt(eta), as in solve_isopurity.
+    """
+    h_min = _smallest_hermite_zero(n)
     rows = []
     for eta in np.asarray(etas, dtype=float):
         problem = IsopurityProblem.from_eta(n, float(eta))
-        sol = solve_isopurity(problem)
+        min_eig = float(1.0 / n + h_min / math.sqrt(problem.eta))
         rows.append(
             ScanRow(
                 n=n,
                 eta=float(eta),
                 beta=problem.beta,
                 purity=problem.purity_target,
-                min_eigenvalue=sol.min_eigenvalue,
-                feasible=sol.feasible,
+                min_eigenvalue=min_eig,
+                feasible=min_eig >= 0.0,
             )
         )
     return rows

@@ -185,6 +185,15 @@ def test_07_continuum_moments_and_singular_equation():
     assert tricomi_residual(marchenko_pastur(), np.linspace(0.1, 3.9, 21)) <= 1e-6
 
 
+def test_singular_equation_holds_near_the_support_edges():
+    """The force balance of gate 07 on grids reaching 0.1 % from the edges."""
+    for d in (semicircle(2.0), semicircle(10.0)):
+        a, b = d.support
+        grid = np.linspace(a + 0.001 * (b - a), b - 0.001 * (b - a), 21)
+        assert tricomi_residual(d, grid) <= 1e-6
+    assert tricomi_residual(marchenko_pastur(), np.linspace(0.001, 3.999, 21)) <= 1e-6
+
+
 def test_08_hermite_to_semicircle_convergence():
     t0 = time.perf_counter()
     rows = finite_n_convergence([32, 64, 128, 256], 2.0)

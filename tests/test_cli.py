@@ -89,6 +89,20 @@ def test_non_finite_beta_is_usage_error(capsys, value):
         assert value in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("density", "--kind", "semicircle", "--beta", "1e40"),
+        ("converge", "--beta", "1e300", "--n", "4,8"),
+    ],
+)
+def test_collapsed_semicircle_support_is_usage_error(capsys, argv):
+    code, out, err = _run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "rounds to the point 1" in err
+
+
 @pytest.mark.parametrize("scan, bound", [("1,inf,3", "HI"), ("nan,5,3", "LO")])
 def test_scan_bounds_must_be_finite(capsys, scan, bound):
     code, out, err = _run(capsys, "isopurity", "--n", "4", "--scan", scan)

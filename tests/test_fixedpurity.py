@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from typent import fixedpurity
 from typent.core import BipartitionDims
 from typent.coulomb import EnergyParams, force_residual, solve_saddle_numeric
 from typent.errors import FeasibilityError
@@ -166,6 +167,27 @@ def test_threshold_scan_rows():
         assert r.purity == pytest.approx(purity_from_eta(n, r.eta), rel=1e-12)
         assert r.feasible == (r.min_eigenvalue >= 0.0)
         assert r.feasible == (r.eta >= crit.eta_plus * (1 - 1e-9))
+
+
+def test_threshold_scan_solves_hermite_once(monkeypatch):
+    calls = []
+    real = fixedpurity.hermite_zeros
+
+    def counting(spec):
+        calls.append(spec)
+        return real(spec)
+
+    monkeypatch.setattr(fixedpurity, "hermite_zeros", counting)
+    n = 16
+    etas = np.linspace(200.0, 6000.0, 40)
+    rows = threshold_scan(n, etas)
+    assert len(rows) == 40
+    assert len(calls) == 1
+    monkeypatch.undo()
+    for eta, row in zip(etas, rows):
+        sol = solve_isopurity(IsopurityProblem.from_eta(n, float(eta)))
+        assert row.min_eigenvalue == sol.min_eigenvalue
+        assert row.feasible == sol.feasible
 
 
 def test_scaled_threshold_approaches_two():
