@@ -19,11 +19,12 @@ convex function F + eta sum lambda^2 restricted to sum lambda = 1, with eta
 fixed by the force sum rules when a (balanced) purity target is given.  It
 starts at quantiles of the large-N continuum law (Marchenko-Pastur or the
 semicircle, from `continuum`) and never looks at the polynomial solutions
-it is later compared against.  It builds and Cholesky-factors (scipy) the
-Hessian once per accepted point, and the factor at the returned point
-decides hessian_definite.  `typical_solution` and the oracle share one
-builder for the N = 1 case, the balanced (N-1, N+1) reduction and the
-diagnostics.
+it is later compared against.  It Cholesky-factors the Hessian once per
+Newton step (scipy, imported when the solver first runs).  hessian_definite,
+on both routes, is strict diagonal dominance of the Hessian at the returned
+point (Gershgorin), so no factorization is made only to set that flag.
+`typical_solution` and the oracle share one builder for the N = 1 case, the
+balanced (N-1, N+1) reduction and the diagnostics.
 
 Sign conventions: `gradient` returns dE/dlambda_i, so the balance-of-forces
 equations of the gas read gradient = 0; the Hessian off-diagonal is the true
@@ -37,7 +38,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .continuum import marchenko_pastur, quantiles, semicircle
 from .core import BipartitionDims, Spectrum, _as_values
@@ -211,14 +211,35 @@ def _trace_force(x: np.ndarray, params: EnergyParams) -> tuple[float, np.ndarray
     return xi, g + xi
 
 
+def cho_factor(h: np.ndarray, **kw):
+    """scipy.linalg.cho_factor, imported on first use so that `import typent`
+    loads no scipy; a module attribute so that a test can count the calls."""
+    from scipy.linalg import cho_factor as scipy_cho_factor
+
+    return scipy_cho_factor(h, **kw)
+
+
 def _cholesky(h: np.ndarray):
     """Cholesky factor of h if h is finite and positive definite, else None."""
     if not np.all(np.isfinite(h)):
         return None
     try:
         return cho_factor(h, check_finite=False)
-    except LinAlgError:
+    except np.linalg.LinAlgError:
         return None
+
+
+def _diagonally_dominant(h: np.ndarray) -> bool:
+    """Whether h is finite and each diagonal entry exceeds the |h_ij| sum of
+    the rest of its row by more than the rounding of the row sums, so that h
+    is positive definite (Gershgorin)."""
+    if not np.all(np.isfinite(h)):
+        return False
+    row = np.abs(h).sum(axis=1)
+    # h_ii - sum_(j != i) |h_ij| = 2 h_ii - row_i; a sum of N non-negative
+    # terms is off by at most (N - 1) eps times itself
+    margin = h.shape[0] * np.finfo(float).eps * row
+    return bool(np.all(2.0 * np.diagonal(h) - row > margin))
 
 
 def _saddle(dims, interior, eta=0.0, purity_target=None) -> SaddleSolution:
@@ -260,20 +281,28 @@ def _saddle(dims, interior, eta=0.0, purity_target=None) -> SaddleSolution:
 def _newton(params: EnergyParams):
     """The Newton loop of solve_saddle_numeric, as a route for _saddle.
 
-    Each accepted point gets one Hessian and one Cholesky factorization,
-    before its convergence test; the factor serves the next step, and at
-    the returned point it decides hessian_definite.
+    Each point that fails the convergence test gets one Hessian and one
+    Cholesky factorization, which the step from it solves with; the loop
+    stops where the Hessian does not factor.  hessian_definite is
+    _diagonally_dominant at the returned point.
     """
+    from scipy.linalg import cho_solve
+
     n = params.dims.n
     x = _start_point(params.dims, params.eta)
     xi, r = _trace_force(x, params)
     norm = float(np.linalg.norm(r))
-    factor = _cholesky(hessian(x, params))
     min_step, merits = 1.0, []
     for _ in range(MAX_ITERATIONS):
-        if factor is None or float(np.max(np.abs(r))) <= 1e-13 * max(abs(xi), 1.0):
+        if float(np.max(np.abs(r))) <= 1e-13 * max(abs(xi), 1.0):
             break
-        h_r, h_1 = cho_solve(factor, np.column_stack((r, np.ones(n)))).T
+        factor = _cholesky(hessian(x, params))
+        if factor is None:
+            break
+        # finite by construction: _cholesky rejects a non-finite Hessian,
+        # and r belongs to an accepted point
+        rhs = np.column_stack((r, np.ones(n)))
+        h_r, h_1 = cho_solve(factor, rhs, check_finite=False).T
         dx = h_1 * (h_r.sum() / h_1.sum()) - h_r
 
         step = 1.0
@@ -289,9 +318,8 @@ def _newton(params: EnergyParams):
             step *= 0.5
         else:
             break
-        factor = _cholesky(hessian(x, params))
     newton = {"iterations": len(merits), "min_step": min_step, "merit_history": tuple(merits)}
-    return x, xi, factor is not None, newton
+    return x, xi, _diagonally_dominant(hessian(x, params)), newton
 
 
 def solve_saddle_numeric(dims, purity_target=None) -> SaddleSolution:
@@ -302,14 +330,17 @@ def solve_saddle_numeric(dims, purity_target=None) -> SaddleSolution:
     (M-N)/lambda^2 and 2 eta diagonals are non-negative) and strictly convex
     whenever M > N or eta > 0, so its minimum on sum lambda = 1 is the saddle
     point.  Starting at the continuum law's quantiles (_start_point), the
-    loop builds and Cholesky-factors the Hessian once per accepted point,
-    takes the Newton step projected onto the hyperplane, and halves it until
-    the force norm falls (the gradient's +inf sentinel rejects off-domain
-    trial points).  Stops at force residual <= 1e-13 * max(|xi|, 1);
+    loop builds and Cholesky-factors the Hessian once per Newton step, takes
+    the step projected onto the hyperplane, and halves it until the force
+    norm falls (the gradient's +inf sentinel rejects off-domain trial
+    points).  Stops at force residual <= 1e-13 * max(|xi|, 1);
     ConvergenceError if the final residual exceeds
-    RESIDUAL_FACTOR * max(|xi|, 1).  hessian_definite comes from the last
-    factorization, the one at the returned point.  The solution reports the
-    Newton iterations, smallest accepted step and merit history.
+    RESIDUAL_FACTOR * max(|xi|, 1).  hessian_definite is strict diagonal
+    dominance of the Hessian at the returned point, with a margin for the
+    rounding of its row sums (Gershgorin): the diagonal 2 sum_j
+    1/(lambda_i - lambda_j)^2 + (M-N)/lambda_i^2 + 2 eta against the
+    off-diagonal sum 2 sum_j 1/(lambda_i - lambda_j)^2.  The solution reports
+    the Newton iterations, smallest accepted step and merit history.
 
     N = 1 and balanced unconstrained dims are reduced as in typical_solution
     (one charge at the origin, the rest solving the (N-1, N+1) problem).
@@ -353,7 +384,7 @@ def _laguerre(params: EnergyParams):
     dims = params.dims
     xi = float(multiplier_xi(dims))
     x = laguerre_zeros(LaguerreSpec(dims.n, float(dims.alpha - 1), xi))
-    return x, xi, _cholesky(hessian(x, params)) is not None, {}
+    return x, xi, _diagonally_dominant(hessian(x, params)), {}
 
 
 def typical_solution(dims: BipartitionDims) -> SaddleSolution:

@@ -4,12 +4,12 @@ The typical entanglement spectra computed elsewhere in this package are the
 zeros of L_N^(a)(xi * x) (unbalanced, unconstrained) and of H_N(s * (x - b))
 (balanced, fixed purity).  Zeros are found the Golub-Welsch way: eigenvalues
 of the symmetric tridiagonal Jacobi matrix of the family, here computed by
-LAPACK ?stemr (through scipy), then polished by a single Newton step using
-three-term recurrences run over all zeros at once.  Polynomials are never
-evaluated through their expanded coefficients (closedform holds those as
-exact rationals for the Vieta cross-checks); the recurrences carry a joint
-rescaling of each zero's value pair so degrees in the thousands stay inside
-floating-point range.
+LAPACK ?stemr (through scipy, imported on the first call), then polished by
+a single Newton step using three-term recurrences run over all zeros at
+once.  Polynomials are never evaluated through their expanded coefficients
+(closedform holds those as exact rationals for the Vieta cross-checks); the
+recurrences carry a joint rescaling of each zero's value pair so degrees in
+the thousands stay inside floating-point range.
 
 Jacobi matrices (in the unscaled variable y):
 
@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, eigvalsh_tridiagonal
 
 from .errors import ConvergenceError
 
@@ -77,9 +76,10 @@ class HermiteSpec:
 def tridiagonal_eigenvalues(diag, offdiag) -> np.ndarray:
     """Eigenvalues of a symmetric tridiagonal matrix, ascending.
 
-    LAPACK ?stemr through scipy.linalg.eigvalsh_tridiagonal.  Raises
-    ValueError for a length mismatch or a non-finite entry, and
-    ConvergenceError if LAPACK reports a failure.
+    LAPACK ?stemr through scipy.linalg.eigvalsh_tridiagonal, imported here so
+    that `import typent` loads no scipy.  Raises ValueError for a length
+    mismatch or a non-finite entry, and ConvergenceError if LAPACK reports a
+    failure.
     """
     d = np.asarray(diag, dtype=float)
     n = d.size
@@ -90,9 +90,11 @@ def tridiagonal_eigenvalues(diag, offdiag) -> np.ndarray:
         raise ValueError(f"offdiag must have length {n - 1}, got {e.size}")
     if not (np.isfinite(d).all() and np.isfinite(e).all()):
         raise ValueError("diag and offdiag must be finite")
+    from scipy.linalg import eigvalsh_tridiagonal
+
     try:
         return eigvalsh_tridiagonal(d, e, check_finite=False)
-    except LinAlgError as exc:
+    except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"LAPACK ?stemr failed: {exc}") from exc
 
 

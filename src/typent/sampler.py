@@ -37,7 +37,6 @@ from functools import cached_property
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
-from scipy.linalg.lapack import dsterf
 
 from .core import CLAMP_TOL, BipartitionDims, Spectrum
 from .errors import AccuracyError, ConvergenceError
@@ -89,6 +88,15 @@ class EnsembleEstimate:
     std_error: float
     count: int
     functional_name: str
+
+
+def dsterf(d: np.ndarray, e: np.ndarray):
+    """LAPACK dsterf through scipy, imported on first use so that `import
+    typent` loads no scipy; a module attribute so that a test can count the
+    calls."""
+    import scipy.linalg.lapack
+
+    return scipy.linalg.lapack.dsterf(d, e)
 
 
 def _block_rng(seed: int, block_index: int) -> np.random.Generator:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -137,6 +138,19 @@ def test_hessian_diagonal_dominance_at_typical_solution():
             assert h[i, i] > off
 
 
+def test_definiteness_flag_is_strict_diagonal_dominance_with_a_margin():
+    eps = np.finfo(float).eps
+    assert coulomb._diagonally_dominant(np.array([[2.0, -1.0], [-1.0, 2.0]]))
+    # positive definite, but its rows are not dominated: the test is sufficient only
+    assert not coulomb._diagonally_dominant(np.full((3, 3), 0.9) + 0.1 * np.eye(3))
+    # the singular Laplacian, and dominance smaller than the rounding of a row sum
+    assert not coulomb._diagonally_dominant(np.array([[1.0, -1.0], [-1.0, 1.0]]))
+    assert not coulomb._diagonally_dominant(
+        np.array([[1.0, eps - 1.0], [eps - 1.0, 1.0]])
+    )
+    assert not coulomb._diagonally_dominant(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+
+
 def test_multiplier_and_trace_formulas():
     assert multiplier_xi(BipartitionDims(4, 8)) == 28
     assert multiplier_xi(BipartitionDims(2, 3)) == 4
@@ -260,7 +274,8 @@ def test_numeric_solver_matches_polynomial_routes(n, extra, fraction):
         dims, target = BipartitionDims(n, n), 1.0 / n + fraction * (top - 1.0 / n)
     try:
         if target is None:
-            exact = typical_solution(dims).spectrum.values
+            poly = typical_solution(dims)
+            exact = poly.spectrum.values
         else:
             exact = solve_isopurity(IsopurityProblem.from_purity(n, target)).spectrum.values
         numeric = solve_saddle_numeric(dims, purity_target=target)
@@ -268,12 +283,29 @@ def test_numeric_solver_matches_polynomial_routes(n, extra, fraction):
         return
     assert numeric.hessian_definite
     assert np.max(np.abs(numeric.spectrum.values - exact)) <= 1e-9
+    # the Gershgorin flag agrees with a Cholesky factorization where the
+    # route solved an N > 1 problem on these dims (balanced unconstrained
+    # dims solve (N-1, N+1) beside a charge at 0)
+    if n > 1 and (target is not None or not dims.balanced):
+        assert numeric.hessian_definite is _cho_factor_succeeds(numeric)
+        if target is None:
+            assert poly.hessian_definite is _cho_factor_succeeds(poly)
 
 
-def test_saddle_routes_factor_with_scipy_once_per_accepted_point(monkeypatch):
-    """Definiteness comes from the Newton loop's own Cholesky factor at the
-    returned point: scipy's cho_factor runs once per accepted point
-    (iterations + 1 per solve) and numpy's cholesky never runs."""
+def _cho_factor_succeeds(sol) -> bool:
+    h = hessian(sol.spectrum.values, EnergyParams(sol.dims, eta=sol.eta))
+    try:
+        scipy.linalg.cho_factor(h)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def test_newton_factors_once_per_step_and_the_polynomial_route_never(monkeypatch):
+    """Definiteness comes from diagonal dominance at the returned point, not
+    from a factorization: scipy's cho_factor runs once per Newton step
+    (iterations per solve), never on the polynomial route, and numpy's
+    cholesky never runs."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("numpy.linalg.cholesky called")
@@ -293,11 +325,12 @@ def test_saddle_routes_factor_with_scipy_once_per_accepted_point(monkeypatch):
         lambda: solve_saddle_numeric(BipartitionDims(16, 16), purity_target=target),
         lambda: typical_solution(BipartitionDims(64, 128)),
     ]
-    for solve in solves:
+    for solve, factors in zip(solves, (True, True, False)):
         calls.clear()
         sol = solve()
         assert sol.hessian_definite is True
-        assert len(calls) == sol.iterations + 1
+        assert sol.iterations > 0 if factors else sol.iterations == 0
+        assert len(calls) == sol.iterations
 
 
 @pytest.mark.parametrize("n, m", [(1, 1), (1, 4), (2, 2), (6, 6)])

@@ -75,18 +75,49 @@ def test_star_import_and_all_entries(name):
     assert set(module.__all__) <= set(namespace)
 
 
-def test_import_leaves_scipy_special_and_integrate_unloaded():
-    """closedform and continuum import them on first use, so a small CLI
-    call does not pay for them."""
+def _fresh_python(code: str) -> str:
+    """stdout of `code` run in a new interpreter that imports this typent."""
     env = dict(os.environ, PYTHONPATH=str(Path(typent.__file__).resolve().parents[1]))
-    code = (
-        "import sys, typent; "
-        "print([m for m in ('scipy.special', 'scipy.integrate') if m in sys.modules])"
-    )
-    out = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout
-    assert out.strip() == "[]"
+
+
+def test_import_leaves_scipy_unloaded():
+    """Every scipy module is imported on first use (LAPACK, quadrature,
+    special functions), so importing typent loads none of them."""
+    code = (
+        "import sys, typent; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    assert _fresh_python(code).strip() == "[]"
+
+
+SAMPLE = ["sample", "--n", "4", "--m", "6", "--samples", "100", "--functional"]
+
+
+@pytest.mark.parametrize(
+    "argv, rc, lapack",
+    [
+        (SAMPLE + ["purity"], 0, False),
+        (["density", "--kind", "mp"], 0, False),
+        (["--help"], 0, False),
+        (["sample", "--n", "0", "--m", "6"], 2, False),
+        (SAMPLE + ["entropy"], 0, True),
+    ],
+)
+def test_cli_loads_lapack_only_when_a_request_needs_it(argv, rc, lapack):
+    """Closed-form purity, a continuum density, help and a usage error never
+    load scipy.linalg; an entropy estimate diagonalizes, and loads it."""
+    code = (
+        "import contextlib, io, sys\n"
+        "from typent import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()), "
+        "contextlib.redirect_stderr(io.StringIO()):\n"
+        f"    rc = cli.main({argv!r})\n"
+        "print(rc, 'scipy.linalg' in sys.modules)"
+    )
+    assert _fresh_python(code).split() == [str(rc), str(lapack)]
 
 
 def test_functional_help_names_exactly_what_the_sampler_accepts():
