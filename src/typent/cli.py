@@ -6,8 +6,13 @@ Exit codes: 0 success, 2 usage or domain error, 3 infeasible problem,
 
 Every output carries the run configuration echo.  JSON and CSV renderings
 format all numbers identically (17 significant digits), so the two formats
-are value-for-value interchangeable.  An optional key=value config file
-supplies defaults; explicit flags always win.
+are value-for-value interchangeable.
+
+Each flag is declared once, in _build_parser.  An optional key=value config
+file supplies defaults: its entries are parsed as --key=value flags placed
+before the explicit ones, so each is checked like its flag (type, choices,
+exclusive groups) and explicit flags win.  Keys that only other subcommands
+take are ignored; a key that no subcommand takes is an error.
 """
 
 from __future__ import annotations
@@ -27,25 +32,6 @@ from .errors import AccuracyError, ConvergenceError, FeasibilityError
 __all__ = ["main"]
 
 _FORMATS = ("json", "csv")
-
-_CONFIG_CASTS = {
-    "n": str,
-    "m": int,
-    "purity": float,
-    "beta": float,
-    "eta": float,
-    "samples": int,
-    "seed": int,
-    "functional": str,
-    "histogram_bins": int,
-    "kind": str,
-    "points": int,
-    "k_max": int,
-    "scan": str,
-    "format": str,
-    "output": str,
-}
-
 
 def _fmt(x) -> str:
     if isinstance(x, bool) or isinstance(x, np.bool_):
@@ -88,13 +74,9 @@ def _json(obj, indent: int = 0) -> str:
 
 
 def _config_echo(args: argparse.Namespace) -> dict:
-    skip = {"config"}
-    echo = {"command": args.command}
-    for key in _CONFIG_CASTS:
-        if key in skip or not hasattr(args, key):
-            continue
-        value = getattr(args, key)
-        echo[key if key != "output" else "output_path"] = value
+    """The parsed flags in declaration order, the command first."""
+    echo = {key: value for key, value in vars(args).items() if key != "config"}
+    echo["output_path"] = echo.pop("output")
     return echo
 
 
@@ -103,9 +85,18 @@ def _echo_comment(echo: dict) -> str:
     return "# " + " ".join(parts)
 
 
-def _load_config_file(path: str) -> dict:
-    out = {}
-    with open(path, "r", encoding="utf-8") as fh:
+def _config_tokens(parser, args) -> list[str]:
+    """The config file's entries as --key=value tokens for args.command.
+
+    A key that only another subcommand takes is skipped; one that no
+    subcommand takes is an error.
+    """
+    keys = {
+        name: set(vars(parser.parse_args([name]))) - {"command", "config"}
+        for name in _HANDLERS
+    }
+    tokens = []
+    with open(args.config, "r", encoding="utf-8") as fh:
         for raw in fh:
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -114,21 +105,11 @@ def _load_config_file(path: str) -> dict:
                 raise ValueError(f"config line is not key=value: {line!r}")
             key, value = line.split("=", 1)
             key = key.strip().replace("-", "_")
-            if key not in _CONFIG_CASTS:
+            if key in keys[args.command]:
+                tokens.append(f"--{key.replace('_', '-')}={value.strip()}")
+            elif not any(key in known for known in keys.values()):
                 raise ValueError(f"unknown config key {key!r}")
-            out[key] = value.strip()
-    return out
-
-
-def _apply_config(args: argparse.Namespace) -> argparse.Namespace:
-    if getattr(args, "config", None) is None:
-        return args
-    for key, raw in _load_config_file(args.config).items():
-        if not hasattr(args, key):
-            continue
-        if getattr(args, key) is None:
-            setattr(args, key, _CONFIG_CASTS[key](raw))
-    return args
+    return tokens
 
 
 def _require(args: argparse.Namespace, *names: str) -> None:
@@ -150,8 +131,7 @@ def _parse_int(value: str, what: str) -> int:
 
 def _run_typical(args) -> tuple[str, dict]:
     _require(args, "n", "m")
-    n = _parse_int(args.n, "--n")
-    dims = BipartitionDims(n, args.m)
+    dims = BipartitionDims(args.n, args.m)
     sol = coulomb.typical_solution(dims)
     typ = closedform.typical_quantities(dims)
     values = sol.spectrum.values
@@ -179,13 +159,10 @@ def _run_typical(args) -> tuple[str, dict]:
 
 def _run_isopurity(args) -> tuple[str, dict]:
     _require(args, "n")
-    n = _parse_int(args.n, "--n")
+    n = args.n
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    given = [name for name in ("purity", "beta", "eta") if getattr(args, name) is not None]
     if args.scan is not None:
-        if given:
-            raise ValueError(f"scan mode runs over eta and takes no --{given[0]}")
         parts = args.scan.split(",")
         if len(parts) != 3:
             raise ValueError("--scan wants LO,HI,COUNT over eta")
@@ -204,8 +181,6 @@ def _run_isopurity(args) -> tuple[str, dict]:
                 for r in rows
             ],
         }
-    if len(given) != 1:
-        raise ValueError("exactly one of --purity/--beta/--eta is required")
     if args.purity is not None:
         if not 0.0 < args.purity <= 1.0:
             raise ValueError(f"purity must lie in (0, 1], got {args.purity}")
@@ -216,8 +191,10 @@ def _run_isopurity(args) -> tuple[str, dict]:
         problem = fixedpurity.IsopurityProblem.from_purity(n, args.purity)
     elif args.beta is not None:
         problem = fixedpurity.IsopurityProblem.from_eta(n, args.beta * n**3)
-    else:
+    elif args.eta is not None:
         problem = fixedpurity.IsopurityProblem.from_eta(n, args.eta)
+    else:
+        raise ValueError("exactly one of --purity/--beta/--eta is required")
     sol = fixedpurity.solve_isopurity(problem)
     if not sol.feasible:
         raise FeasibilityError(
@@ -233,24 +210,21 @@ def _run_isopurity(args) -> tuple[str, dict]:
         "purity_recomputed": float(np.sum(sol.values**2)),
         "min_eigenvalue": sol.min_eigenvalue,
         "feasible": sol.feasible,
-        "beta_plus_asymptotic": 2.0,
-        "purity_critical_asymptotic": 5.0 / (4.0 * n),
+        "beta_plus_asymptotic": fixedpurity.BETA_PLUS,
+        "purity_critical_asymptotic": fixedpurity.purity_critical(n),
     }
     return "report", payload
 
 
 def _run_sample(args) -> tuple[str, dict]:
     _require(args, "n", "m", "samples")
-    n = _parse_int(args.n, "--n")
-    dims = BipartitionDims(n, args.m)
+    dims = BipartitionDims(args.n, args.m)
     config = sampler.SamplerConfig(
         dims=dims,
         sample_count=args.samples,
         seed=args.seed if args.seed is not None else 0,
     )
     if args.histogram_bins is not None:
-        if args.functional is not None:
-            raise ValueError("--histogram-bins emits the histogram and takes no --functional")
         table = sampler.histogram_rescaled(config, args.histogram_bins)
         return "table", {
             "columns": ["bin_left", "bin_right", "density"],
@@ -263,17 +237,14 @@ def _run_sample(args) -> tuple[str, dict]:
 
 def _run_density(args) -> tuple[str, dict]:
     _require(args, "kind")
-    kind = {"mp": "marchenko_pastur"}.get(args.kind, args.kind)
-    args.kind = kind
-    if kind == "semicircle":
+    args.kind = {"mp": "marchenko_pastur"}.get(args.kind, args.kind)
+    if args.kind == "semicircle":
         _require(args, "beta")
         d = continuum.semicircle(args.beta)
-    elif kind == "marchenko_pastur":
+    else:
         if args.beta not in (None, 0.0):
             raise ValueError("marchenko_pastur is the beta = 0 member; drop --beta")
         d = continuum.marchenko_pastur()
-    else:
-        raise ValueError(f"unknown density kind {args.kind!r}")
     points = args.points if args.points is not None else 512
     xs, ys = continuum.density_grid(d, points)
     return "table", {
@@ -294,8 +265,7 @@ def _run_converge(args) -> tuple[str, dict]:
 
 def _run_table(args) -> tuple[str, dict]:
     _require(args, "n", "m")
-    n = _parse_int(args.n, "--n")
-    dims = BipartitionDims(n, args.m)
+    dims = BipartitionDims(args.n, args.m)
     rows = closedform.formula_table(dims, k_max=args.k_max)
     return "table", {
         "columns": ["quantity", "n", "m", "value", "formula"],
@@ -372,11 +342,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("isopurity", help="balanced spectrum at fixed purity")
     p.add_argument("--n", type=int, default=None)
-    p.add_argument("--purity", type=float, default=None)
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--eta", type=float, default=None)
-    p.add_argument("--scan", default=None, metavar="LO,HI,COUNT",
-                   help="eta scan grid; reports the feasibility crossing")
+    target = p.add_mutually_exclusive_group()
+    target.add_argument("--purity", type=float, default=None)
+    target.add_argument("--beta", type=float, default=None)
+    target.add_argument("--eta", type=float, default=None)
+    target.add_argument("--scan", default=None, metavar="LO,HI,COUNT",
+                        help="eta scan grid; reports the feasibility crossing")
     common(p)
 
     p = sub.add_parser("sample", help="Monte Carlo ensemble estimates")
@@ -384,25 +355,27 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--samples", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--functional", default=None,
-                   help="purity, entropy, det, lambda_variance, det_power(k), "
-                   "trace_power(k); all but entropy and trace_power(k >= 3) "
-                   "skip the eigensolve")
-    p.add_argument("--histogram-bins", type=int, default=None, dest="histogram_bins",
-                   help="emit the histogram of N*lambda instead of an estimate "
-                   "(no --functional); Sturm counts bin it without an eigensolve, "
-                   "in memory bounded by one block")
+    report = p.add_mutually_exclusive_group()
+    report.add_argument("--functional", default=None,
+                        help="purity, entropy, det, lambda_variance, det_power(k), "
+                        "trace_power(k); all but entropy and trace_power(k >= 3) "
+                        "skip the eigensolve")
+    report.add_argument("--histogram-bins", type=int, default=None, dest="histogram_bins",
+                        help="emit the histogram of N*lambda instead of an estimate; "
+                        "Sturm counts bin it without an eigensolve, in memory "
+                        "bounded by one block")
     common(p)
 
     p = sub.add_parser("density", help="continuum density on a 512-point grid")
-    p.add_argument("--kind", default=None, help="semicircle or marchenko_pastur")
     p.add_argument("--beta", type=float, default=None)
+    p.add_argument("--kind", choices=("semicircle", "marchenko_pastur", "mp"),
+                   default=None, help="mp is short for marchenko_pastur")
     p.add_argument("--points", type=int, default=None)
     common(p)
 
     p = sub.add_parser("converge", help="finite-size distance to the semicircle")
-    p.add_argument("--beta", type=float, default=None)
     p.add_argument("--n", default=None, help="comma-separated sizes, ascending")
+    p.add_argument("--beta", type=float, default=None)
     common(p)
 
     p = sub.add_parser("table", help="closed-form quantities at one (n, m)")
@@ -416,13 +389,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(argv)
-        args = _apply_config(args)
+        if args.config is not None:
+            # the file's entries go right after the subcommand name, so each
+            # is checked like its flag, and an explicit flag wins because
+            # argparse keeps the last value
+            at = argv.index(args.command) + 1
+            args = parser.parse_args(argv[:at] + _config_tokens(parser, args) + argv[at:])
         fmt = args.format if args.format is not None else "json"
-        if fmt not in _FORMATS:
-            # a config file bypasses argparse choices
-            raise ValueError(f"format must be one of {_FORMATS}, got {fmt!r}")
         kind, payload = _HANDLERS[args.command](args)
         text = _render(kind, payload, _config_echo(args), fmt)
         if args.output is not None:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AccuracyError, FeasibilityError
-from .fixedpurity import IsopurityProblem, solve_isopurity
+from .fixedpurity import BETA_PLUS, IsopurityProblem, solve_isopurity
 
 __all__ = [
     "ContinuumDensity",
@@ -45,7 +45,6 @@ __all__ = [
     "finite_n_convergence",
 ]
 
-BETA_CRITICAL = 2.0
 _QUAD_TARGET = 1e-12
 _QUAD_ACCEPT = 1e-9
 
@@ -64,11 +63,11 @@ class ContinuumDensity:
 
 def semicircle(beta: float) -> ContinuumDensity:
     """Semicircle density at finite inverse temperature beta >= 2."""
-    if not BETA_CRITICAL <= beta < math.inf:
+    if not BETA_PLUS <= beta < math.inf:
         raise ValueError(
-            f"semicircle family needs finite beta >= {BETA_CRITICAL}, got {beta}"
+            f"semicircle family needs finite beta >= {BETA_PLUS}, got {beta}"
         )
-    half_width = math.sqrt(BETA_CRITICAL / beta)
+    half_width = math.sqrt(BETA_PLUS / beta)
     a, b = 1.0 - half_width, 1.0 + half_width
     if not a < 1.0 < b:
         raise ValueError(

@@ -40,9 +40,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .continuum import marchenko_pastur, quantiles, semicircle
-from .core import BipartitionDims, Spectrum, _as_values
+from .core import SUM_TOL, BipartitionDims, Spectrum, _as_values
 from .errors import ConvergenceError, FeasibilityError
-from .fixedpurity import critical_threshold, eta_from_purity
+from .fixedpurity import BETA_PLUS, critical_threshold, eta_from_purity
 from .orthopoly import LaguerreSpec, laguerre_zeros
 
 __all__ = [
@@ -60,6 +60,9 @@ __all__ = [
 MAX_ITERATIONS = 500
 #: convergence is declared at force residual <= RESIDUAL_FACTOR * max(|xi|, 1)
 RESIDUAL_FACTOR = 1e-10
+#: Newton iterates stay this close to sum lambda = 1, half the Spectrum
+#: tolerance, so that the returned values validate however their sum rounds
+TRACE_TOL = 0.5 * SUM_TOL
 
 
 @dataclass(frozen=True)
@@ -191,10 +194,10 @@ def multiplier_xi(dims: BipartitionDims) -> int:
 def _start_point(dims: BipartitionDims, eta: float) -> np.ndarray:
     """(i - 1/2)/N quantiles of the continuum law, normalized to unit trace:
     Marchenko-Pastur(N/M) for the unbiased gas (N < M here), the semicircle
-    at beta = max(eta/N^3, 2) for a balanced purity target."""
+    at beta = max(eta/N^3, BETA_PLUS) for a balanced purity target."""
     n = dims.n
     if eta > 0.0:
-        law = semicircle(max(eta / n**3, 2.0))
+        law = semicircle(max(eta / n**3, BETA_PLUS))
     else:
         law = marchenko_pastur(n / dims.m)
     x = quantiles(law, n)
@@ -203,9 +206,10 @@ def _start_point(dims: BipartitionDims, eta: float) -> np.ndarray:
 
 def _trace_force(x: np.ndarray, params: EnergyParams) -> tuple[float, np.ndarray]:
     """Trace multiplier xi = -mean(g) and the force r = g + xi left on the
-    hyperplane sum lambda = 1; r is the +inf sentinel off-domain."""
+    hyperplane sum lambda = 1; r is the +inf sentinel off-domain or more
+    than TRACE_TOL off the hyperplane, a drift that r itself does not see."""
     g = gradient(x, params)
-    if not np.all(np.isfinite(g)):
+    if not np.all(np.isfinite(g)) or not abs(float(x.sum()) - 1.0) <= TRACE_TOL:
         return 0.0, np.full(x.size, math.inf)
     xi = -float(g.mean())
     return xi, g + xi
@@ -332,8 +336,10 @@ def solve_saddle_numeric(dims, purity_target=None) -> SaddleSolution:
     point.  Starting at the continuum law's quantiles (_start_point), the
     loop builds and Cholesky-factors the Hessian once per Newton step, takes
     the step projected onto the hyperplane, and halves it until the force
-    norm falls (the gradient's +inf sentinel rejects off-domain trial
-    points).  Stops at force residual <= 1e-13 * max(|xi|, 1);
+    norm falls (the +inf sentinel of _trace_force rejects trial points off
+    the domain, or off the hyperplane by more than TRACE_TOL: an
+    ill-conditioned solve can drift the trace, which the force norm does
+    not see).  Stops at force residual <= 1e-13 * max(|xi|, 1);
     ConvergenceError if the final residual exceeds
     RESIDUAL_FACTOR * max(|xi|, 1).  hessian_definite is strict diagonal
     dominance of the Hessian at the returned point, with a margin for the

@@ -38,6 +38,15 @@ __all__ = [
     "threshold_scan",
 ]
 
+#: large-n limit of the rescaled positivity threshold eta_plus / N^3, where
+#: the semicircle family of continuum laws starts
+BETA_PLUS = 2.0
+
+
+def purity_critical(n: int) -> float:
+    """Large-n purity at the positivity threshold, 5/(4n)."""
+    return 5.0 / (4.0 * n)
+
 
 def eta_from_purity(n: int, purity: float) -> float:
     """Stiffness eta enforcing mean square sum pi: N^2(N-1)/(2(N pi - 1))."""
@@ -155,7 +164,8 @@ class CriticalThreshold:
     """Positivity threshold of the fixed-purity family at size n.
 
     eta_plus is the finite-n value at which the smallest eigenvalue crosses
-    zero; beta_plus and purity_critical are its large-n limits 2 and 5/(4n).
+    zero; beta_plus and purity_critical are its large-n limits, BETA_PLUS = 2
+    and purity_critical(n) = 5/(4n).
     """
 
     n: int
@@ -180,8 +190,8 @@ def critical_threshold(n: int) -> CriticalThreshold:
         eta_plus=eta_plus,
         beta_plus_finite=eta_plus / n**3,
         purity_plus_finite=purity_from_eta(n, eta_plus),
-        beta_plus=2.0,
-        purity_critical=5.0 / (4.0 * n),
+        beta_plus=BETA_PLUS,
+        purity_critical=purity_critical(n),
     )
 
 

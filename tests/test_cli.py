@@ -65,6 +65,9 @@ def test_isopurity_exit_codes(capsys):
     assert code == 2
     code, _, err = _run(capsys, "isopurity", "--n", "2")
     assert code == 2
+    code, out, err = _run(capsys, "isopurity", "--n", "64", "--beta", "1")
+    assert code == 3 and out == ""
+    assert "use --scan to map the crossing" in err
     code, _, err = _run(
         capsys, "isopurity", "--n", "2", "--purity", "0.7", "--eta", "9.0"
     )
@@ -254,6 +257,27 @@ def test_config_file_defaults_and_precedence(tmp_path, capsys):
     assert code == 2
     code, _, err = _run(capsys, "sample", "--config", str(tmp_path / "nope.cfg"))
     assert code == 2
+
+
+def test_config_entries_parse_like_their_flags(tmp_path, capsys):
+    """A config entry goes through its flag's type, choices and exclusive
+    group; keys of other subcommands are skipped; explicit flags win."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n = 2\nm = 3\nsamples = 10\n")
+    doc = _run_json(capsys, "typical", "--config", str(cfg))
+    assert doc["config"] == _run_json(capsys, "typical", "--n", "2", "--m", "3")["config"]
+    assert doc["config"]["n"] == 2 and "samples" not in doc["config"]
+    cfg.write_text("n = 8\npurity = 0.14\n")
+    code, out, err = _run(capsys, "isopurity", "--config", str(cfg), "--eta", "900")
+    assert code == 2 and out == ""
+    assert "--eta" in err and "--purity" in err
+    doc = _run_json(capsys, "isopurity", "--config", str(cfg), "--purity", "0.145")
+    assert doc["purity_target"] == 0.145
+    assert doc["config"]["purity"] == 0.145
+    cfg.write_text("kind = bogus\n")
+    code, out, err = _run(capsys, "density", "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert "'bogus'" in err
 
 
 @pytest.mark.parametrize("fmt", ["xml", "JSON"])

@@ -345,3 +345,46 @@ def test_polynomial_and_newton_routes_report_the_same_diagnostics(n, m):
     )
     assert np.max(np.abs(exact.spectrum.values - numeric.spectrum.values)) <= 1e-12
     assert (exact.iterations, exact.min_step, exact.merit_history) == (0, 1.0, ())
+
+
+def _geometric_start(ratio):
+    """A _start_point stand-in: lambda_i proportional to ratio^-i."""
+
+    def start(dims, eta):
+        x = ratio ** -np.arange(dims.n, dtype=float)
+        return x / x.sum()
+
+    return start
+
+
+@pytest.mark.parametrize("n, m, min_step", [(8, 12, 0.5), (16, 17, 0.125)])
+def test_newton_halves_the_step_from_a_poor_start(monkeypatch, n, m, min_step):
+    monkeypatch.setattr(coulomb, "_start_point", _geometric_start(1.3))
+    dims = BipartitionDims(n, m)
+    sol = solve_saddle_numeric(dims)
+    assert sol.min_step == min_step
+    assert np.max(np.abs(sol.spectrum.values - typical_solution(dims).spectrum.values)) <= 1e-9
+
+
+@pytest.mark.parametrize("n, m", [(32, 64), (64, 128)])
+def test_newton_trace_drift_is_a_convergence_error(monkeypatch, n, m):
+    """From lambda_i ~ 2^-i the Hessian diagonal spans tens of decades and
+    the projected step leaks off sum lambda = 1, which the force norm does
+    not see: the solver converges or raises ConvergenceError, never
+    Spectrum's ValueError."""
+    monkeypatch.setattr(coulomb, "_start_point", _geometric_start(2.0))
+    dims = BipartitionDims(n, m)
+    try:
+        sol = solve_saddle_numeric(dims)
+    except ConvergenceError:
+        return
+    assert np.max(np.abs(sol.spectrum.values - typical_solution(dims).spectrum.values)) <= 1e-9
+
+
+def test_newton_with_an_unfactorable_hessian_is_a_convergence_error(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise np.linalg.LinAlgError("not positive definite")
+
+    monkeypatch.setattr(coulomb, "cho_factor", refuse)
+    with pytest.raises(ConvergenceError):
+        solve_saddle_numeric(BipartitionDims(4, 6))
