@@ -56,7 +56,6 @@ from .orthopoly import (
     LaguerreSpec,
     hermite_zeros,
     laguerre_zeros,
-    tridiagonal_eigenvalues,
 )
 from .sampler import (
     EnsembleEstimate,

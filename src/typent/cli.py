@@ -118,11 +118,15 @@ def _require(args: argparse.Namespace, *names: str) -> None:
             raise ValueError(f"--{name.replace('_', '-')} is required")
 
 
-def _parse_int(value: str, what: str) -> int:
+def _parse_number(value: str, what: str, cast=int):
     try:
-        return int(value)
+        number = cast(value)
     except ValueError:
-        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+        kind = "an integer" if cast is int else "a number"
+        raise ValueError(f"{what} must be {kind}, got {value!r}") from None
+    if not math.isfinite(number):
+        raise ValueError(f"{what} must be finite, got {number}")
+    return number
 
 
 # ---------------------------------------------------------------------------
@@ -166,11 +170,9 @@ def _run_isopurity(args) -> tuple[str, dict]:
         parts = args.scan.split(",")
         if len(parts) != 3:
             raise ValueError("--scan wants LO,HI,COUNT over eta")
-        lo, hi = float(parts[0]), float(parts[1])
-        for name, bound in (("LO", lo), ("HI", hi)):
-            if not math.isfinite(bound):
-                raise ValueError(f"--scan {name} must be finite, got {bound}")
-        count = _parse_int(parts[2], "--scan count")
+        lo = _parse_number(parts[0], "--scan LO", float)
+        hi = _parse_number(parts[1], "--scan HI", float)
+        count = _parse_number(parts[2], "--scan count")
         if not 0 < lo < hi or count < 2:
             raise ValueError("--scan wants 0 < LO < HI and COUNT >= 2")
         rows = fixedpurity.threshold_scan(n, np.linspace(lo, hi, count))
@@ -255,7 +257,7 @@ def _run_density(args) -> tuple[str, dict]:
 
 def _run_converge(args) -> tuple[str, dict]:
     _require(args, "beta", "n")
-    ns = [_parse_int(part, "--n entry") for part in args.n.split(",")]
+    ns = [_parse_number(part, "--n entry") for part in args.n.split(",")]
     rows = continuum.finite_n_convergence(ns, args.beta)
     return "table", {
         "columns": ["n", "ks_distance"],

@@ -110,9 +110,8 @@ class IsopurityProblem:
 class FixedPuritySolution:
     """Mapped Hermite zeros for an isopurity problem.
 
-    `values` always holds the descending zeros, feasible or not, so
-    threshold scans can report how far below zero the smallest one sits.
-    `spectrum` refuses to build a Spectrum from an infeasible solution.
+    `values` holds the descending zeros, feasible or not; `spectrum` refuses
+    to build a Spectrum from an infeasible solution.
     """
 
     problem: IsopurityProblem

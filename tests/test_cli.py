@@ -114,6 +114,17 @@ def test_scan_bounds_must_be_finite(capsys, scan, bound):
     assert f"--scan {bound} must be finite" in err
 
 
+@pytest.mark.parametrize(
+    "scan, field",
+    [("a,2,3", "LO must be a number, got 'a'"), ("1,b,3", "HI must be a number, got 'b'")],
+)
+def test_scan_bounds_must_be_numbers(capsys, scan, field):
+    code, out, err = _run(capsys, "isopurity", "--n", "4", "--scan", scan)
+    assert code == 2
+    assert out == ""
+    assert f"--scan {field}" in err
+
+
 def test_sample_report(capsys):
     doc = _run_json(
         capsys, "sample", "--n", "2", "--m", "2", "--samples", "4000",

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,54 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import roots_genlaguerre, roots_hermite
 
+from typent import cli, fixedpurity, orthopoly
+from typent.errors import ConvergenceError
 from typent.orthopoly import (
     HermiteSpec,
     LaguerreSpec,
     hermite_relative_residuals,
     hermite_zeros,
-    hermite_jacobi,
-    laguerre_jacobi,
     laguerre_relative_residuals,
     laguerre_zeros,
-    tridiagonal_eigenvalues,
 )
 
 SQRT2 = math.sqrt(2.0)
-
-
-def test_tridiagonal_against_lapack():
-    rng = np.random.default_rng(3)
-    for n in (1, 2, 3, 10, 40):
-        d = rng.normal(size=n)
-        e = rng.normal(size=n - 1)
-        ours = tridiagonal_eigenvalues(d, e)
-        full = np.diag(d)
-        if n > 1:
-            full += np.diag(e, 1) + np.diag(e, -1)
-        ref = np.linalg.eigvalsh(full)
-        assert ours == pytest.approx(ref, rel=1e-12, abs=1e-12)
-
-
-def test_tridiagonal_input_checks():
-    with pytest.raises(ValueError):
-        tridiagonal_eigenvalues([1.0, 2.0], [0.5, 0.5])
-    assert tridiagonal_eigenvalues([], []).size == 0
-    assert tridiagonal_eigenvalues([4.0], []) == pytest.approx([4.0])
-
-
-@pytest.mark.parametrize(
-    "diag,offdiag",
-    [
-        ([math.inf, 1.0], [0.5]),
-        ([math.nan, 1.0], [0.5]),
-        ([1.0, 2.0], [math.inf]),
-        ([1.0, 2.0, 3.0], [0.5, math.nan]),
-        ([math.nan], []),
-    ],
-)
-def test_tridiagonal_rejects_non_finite(diag, offdiag):
-    with pytest.raises(ValueError):
-        tridiagonal_eigenvalues(diag, offdiag)
 
 
 @pytest.mark.parametrize("n,a", [(2, 0.0), (3, 1.0), (5, 2.0), (12, 0.0), (30, 3.0)])
@@ -89,8 +54,30 @@ def test_laguerre_large_n_zeros_match_mpmath_oracle():
     # mpmath.laguerre at 80 digits); the zeros behind `typical --n 1000 --m 1001`
     z = laguerre_zeros(LaguerreSpec(degree=1000, order=0.0, scale=1.0))
     oracle = [0.0014450740675415123, 0.007614013093376568, 0.018712423886009355]
-    assert z[:3] == pytest.approx(oracle, rel=2e-11)
-    assert z[-1] == pytest.approx(3943.247394845271, rel=2e-11)
+    assert z[:3] == pytest.approx(oracle, rel=1e-14, abs=0.0)
+    assert z[-1] == pytest.approx(3943.247394845271, rel=1e-14, abs=0.0)
+
+
+def _scaled_laguerre_sign(n, a, x):
+    """Sign of n! L_n^(a)(x) at the float x, in exact integer arithmetic:
+    n! L_n^(a)(x) = sum_j (-1)^j C(n + a, n - j) n!/j! x^j with x = p/q."""
+    p, q = Fraction(x).as_integer_ratio()
+    acc = 0
+    for j in range(n, -1, -1):
+        coeff = (-1) ** j * math.comb(n + a, n - j) * (math.factorial(n) // math.factorial(j))
+        acc = acc * p + coeff * q ** (n - j)
+    return (acc > 0) - (acc < 0)
+
+
+@pytest.mark.parametrize("a", [0, 1])
+def test_smallest_laguerre_zeros_bracketed_exactly(a):
+    # the three smallest zeros of L_200^(a) are each within 1e-13 relative
+    # of a sign change of the exactly evaluated polynomial
+    z = laguerre_zeros(LaguerreSpec(degree=200, order=float(a), scale=1.0))
+    for zero in z[:3]:
+        below = _scaled_laguerre_sign(200, a, zero * (1.0 - 1e-13))
+        above = _scaled_laguerre_sign(200, a, zero * (1.0 + 1e-13))
+        assert below * above == -1
 
 
 @settings(max_examples=40, deadline=None)
@@ -153,20 +140,26 @@ def _scalar_newton_steps(kind, n, a, ys):
 def test_vectorized_polish_matches_scalar_loop(kind, n, a):
     if kind == "laguerre":
         spec = LaguerreSpec(degree=n, order=a, scale=1.0)
-        raw = tridiagonal_eigenvalues(*laguerre_jacobi(spec))
         zeros = laguerre_zeros(spec)
-        residuals = laguerre_relative_residuals(spec, raw)
-        floor = np.abs(raw)
+        residuals = laguerre_relative_residuals(spec, zeros)
+        floor = np.abs(zeros)
     else:
         spec = HermiteSpec(degree=n, shift=0.0, scale=1.0)
-        raw = tridiagonal_eigenvalues(*hermite_jacobi(spec))
         zeros = hermite_zeros(spec)
-        residuals = hermite_relative_residuals(spec, raw)
-        floor = np.maximum(np.abs(raw), 1.0)
-    steps = _scalar_newton_steps(kind, n, a, raw)
-    # bit-equal: every step here is far inside the 0.45-gap guard
-    assert np.array_equal(zeros, raw - steps)
+        residuals = hermite_relative_residuals(spec, zeros)
+        floor = np.maximum(np.abs(zeros), 1.0)
+    steps = _scalar_newton_steps(kind, n, a, zeros)
     assert np.array_equal(residuals, np.abs(steps) / floor)
+
+
+@pytest.mark.parametrize("n", [1000, 1001])
+def test_large_hermite_zeros_contract(n):
+    spec = HermiteSpec(degree=n, shift=0.0, scale=1.0)
+    z = hermite_zeros(spec)
+    assert np.max(hermite_relative_residuals(spec, z)) <= 5e-14
+    assert np.array_equal(z, -z[::-1])
+    if n % 2:
+        assert z[n // 2] == 0.0
 
 
 def test_polished_residuals_meet_contract():
@@ -200,4 +193,49 @@ def test_spec_validation():
         LaguerreSpec(degree=2, order=-1.5, scale=1.0)
     with pytest.raises(ValueError):
         HermiteSpec(degree=2, shift=0.0, scale=0.0)
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError):
+            LaguerreSpec(degree=3, order=bad, scale=1.0)
+        with pytest.raises(ValueError):
+            LaguerreSpec(degree=3, order=1.0, scale=bad)
+        with pytest.raises(ValueError):
+            HermiteSpec(degree=3, shift=bad, scale=1.0)
+        with pytest.raises(ValueError):
+            HermiteSpec(degree=3, shift=0.0, scale=bad)
+    for degree in (True, 2.0, "3"):
+        with pytest.raises(ValueError):
+            LaguerreSpec(degree=degree, order=1.0, scale=1.0)
+        with pytest.raises(ValueError):
+            HermiteSpec(degree=degree, shift=0.0, scale=1.0)
+    assert laguerre_zeros(LaguerreSpec(np.int64(2), 0.0, 1.0)).size == 2
     assert hermite_zeros(HermiteSpec(degree=0, shift=0.0, scale=1.0)).size == 0
+
+
+def test_zeros_make_one_lapack_call(monkeypatch):
+    calls = []
+    real = orthopoly.dpteqr
+
+    def counting(d, e):
+        calls.append(d.size)
+        return real(d, e)
+
+    monkeypatch.setattr(orthopoly, "dpteqr", counting)
+    for n in (4, 5, 64, 65):
+        laguerre_zeros(LaguerreSpec(degree=n, order=0.5, scale=2.0))
+        hermite_zeros(HermiteSpec(degree=n, shift=0.1, scale=3.0))
+    assert calls == [4, 2, 5, 2, 64, 32, 65, 32]
+    calls.clear()
+    for n in (1, 2, 3):
+        z = hermite_zeros(HermiteSpec(degree=n, shift=0.0, scale=1.0))
+        assert z == pytest.approx(roots_hermite(n)[0], rel=1e-15)
+    assert calls == []
+    fixedpurity.threshold_scan(64, [100.0, 1000.0, 10000.0])
+    assert calls == [32]
+
+
+def test_lapack_failure_is_a_convergence_error(monkeypatch, capsys):
+    monkeypatch.setattr(orthopoly, "dpteqr", lambda d, e: (d, e, np.zeros((1, 1)), 1))
+    with pytest.raises(ConvergenceError):
+        laguerre_zeros(LaguerreSpec(degree=8, order=1.0, scale=1.0))
+    assert cli.main(["typical", "--n", "8", "--m", "9"]) == 4
+    assert "dpteqr" in capsys.readouterr().err
