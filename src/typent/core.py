@@ -14,11 +14,20 @@ Conventions
 * Entropy is the standard -sum(lambda ln lambda) with 0 ln 0 = 0.
 * Purity satisfies the exact identity pi = 1 - 2 s_2 with s_2 the second
   elementary symmetric invariant.
+
+`lapack` hands the other modules scipy's compiled LAPACK module,
+scipy.linalg._flapack, without importing the scipy.linalg package, which
+would load some 70 further scipy modules that no LAPACK call here uses.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,6 +82,32 @@ class BipartitionDims:
     @property
     def balanced(self) -> bool:
         return self.m == self.n
+
+
+_FLAPACK = "scipy.linalg._flapack"
+
+
+@functools.cache
+def lapack():
+    """scipy.linalg._flapack, scipy's f2py LAPACK module, loaded on first use.
+
+    Top-level scipy is imported (its library set-up runs) but
+    scipy/linalg/__init__.py is not: the extension is found in the linalg
+    directory and executed directly.  A copy already in sys.modules, say
+    from an earlier `import scipy.linalg`, is returned instead, and a later
+    `import scipy.linalg` reuses the one loaded here.
+    """
+    if _FLAPACK in sys.modules:
+        return sys.modules[_FLAPACK]
+    import scipy
+
+    path = [os.path.join(entry, "linalg") for entry in scipy.__path__]
+    spec = importlib.machinery.PathFinder.find_spec(_FLAPACK, path)
+    if spec is None:
+        raise ImportError(f"{_FLAPACK} not found in {path}", name=_FLAPACK)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return sys.modules.setdefault(_FLAPACK, module)
 
 
 def _as_values(spec) -> np.ndarray:

@@ -20,9 +20,11 @@ fixed by the force sum rules when a (balanced) purity target is given.  It
 starts at quantiles of the large-N continuum law (Marchenko-Pastur or the
 semicircle, from `continuum`) and never looks at the polynomial solutions
 it is later compared against.  It Cholesky-factors the Hessian once per
-Newton step (scipy, imported when the solver first runs).  hessian_definite,
-on both routes, is strict diagonal dominance of the Hessian at the returned
-point (Gershgorin), so no factorization is made only to set that flag.
+Newton step (LAPACK dpotrf and dpotrs from scipy's compiled module, loaded
+when the solver first runs, without the scipy.linalg package).
+hessian_definite, on both routes, is strict diagonal dominance of the
+Hessian at the returned point (Gershgorin), so no factorization is made
+only to set that flag.
 `typical_solution` and the oracle share one builder for the N = 1 case, the
 balanced (N-1, N+1) reduction and the diagnostics.
 
@@ -40,7 +42,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .continuum import marchenko_pastur, quantiles, semicircle
-from .core import SUM_TOL, BipartitionDims, Spectrum, _as_values
+from .core import SUM_TOL, BipartitionDims, Spectrum, _as_values, lapack
 from .errors import ConvergenceError, FeasibilityError
 from .fixedpurity import BETA_PLUS, critical_threshold, eta_from_purity
 from .orthopoly import LaguerreSpec, laguerre_zeros
@@ -215,12 +217,15 @@ def _trace_force(x: np.ndarray, params: EnergyParams) -> tuple[float, np.ndarray
     return xi, g + xi
 
 
-def cho_factor(h: np.ndarray, **kw):
-    """scipy.linalg.cho_factor, imported on first use so that `import typent`
-    loads no scipy; a module attribute so that a test can count the calls."""
-    from scipy.linalg import cho_factor as scipy_cho_factor
-
-    return scipy_cho_factor(h, **kw)
+def cho_factor(h: np.ndarray):
+    """The pair (c, lower) that scipy.linalg.cho_factor returns, from the
+    same LAPACK dpotrf call on scipy's compiled module (`core.lapack`, loaded
+    on first use); np.linalg.LinAlgError if h is not positive definite.  A
+    module attribute so that a test can count the calls."""
+    c, info = lapack().dpotrf(h, lower=0, clean=0)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"leading minor {info} is not positive definite")
+    return c, False
 
 
 def _cholesky(h: np.ndarray):
@@ -228,7 +233,7 @@ def _cholesky(h: np.ndarray):
     if not np.all(np.isfinite(h)):
         return None
     try:
-        return cho_factor(h, check_finite=False)
+        return cho_factor(h)
     except np.linalg.LinAlgError:
         return None
 
@@ -290,8 +295,6 @@ def _newton(params: EnergyParams):
     stops where the Hessian does not factor.  hessian_definite is
     _diagonally_dominant at the returned point.
     """
-    from scipy.linalg import cho_solve
-
     n = params.dims.n
     x = _start_point(params.dims, params.eta)
     xi, r = _trace_force(x, params)
@@ -304,9 +307,11 @@ def _newton(params: EnergyParams):
         if factor is None:
             break
         # finite by construction: _cholesky rejects a non-finite Hessian,
-        # and r belongs to an accepted point
+        # and r belongs to an accepted point; dpotrs's info flags only an
+        # illegal argument
+        c, lower = factor
         rhs = np.column_stack((r, np.ones(n)))
-        h_r, h_1 = cho_solve(factor, rhs, check_finite=False).T
+        h_r, h_1 = lapack().dpotrs(c, rhs, lower=lower)[0].T
         dx = h_1 * (h_r.sum() / h_1.sum()) - h_r
 
         step = 1.0

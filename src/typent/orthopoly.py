@@ -5,9 +5,9 @@ zeros of L_N^(a)(xi * x) (unbalanced, unconstrained) and of H_N(s * (x - b))
 (balanced, fixed purity).  Laguerre zeros are the eigenvalues of the Jacobi
 matrix (Golub-Welsch), diag_k = 2k + a + 1 (k = 0..N-1) and off_k =
 sqrt(k (k + a)), which is positive definite for a > -1, so one LAPACK dpteqr
-call (through scipy, imported on the first call) returns them to high
-relative accuracy.  Hermite zeros are square roots of Laguerre zeros:
-H_2k(y) ~ L_k^(-1/2)(y^2) and H_2k+1(y) ~ y L_k^(1/2)(y^2).
+call (scipy's compiled LAPACK module, loaded on the first call) returns them
+to high relative accuracy.  Hermite zeros are square roots of Laguerre
+zeros: H_2k(y) ~ L_k^(-1/2)(y^2) and H_2k+1(y) ~ y L_k^(1/2)(y^2).
 
 The three-term recurrences check those zeros independently (the
 *_relative_residuals functions); each zero's value pair is rescaled jointly
@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import lapack
 from .errors import ConvergenceError
 
 __all__ = [
@@ -73,12 +74,11 @@ class HermiteSpec:
 
 
 def dpteqr(d: np.ndarray, e: np.ndarray):
-    """LAPACK dpteqr through scipy, eigenvalues only (descending), as the
-    tuple (d, e, z, info); imported on first use so that `import typent`
-    loads no scipy, and a module attribute so that a test can patch it."""
-    import scipy.linalg.lapack
-
-    return scipy.linalg.lapack.dpteqr(d, e, np.zeros((1, 1)), compute_z=0)
+    """LAPACK dpteqr from scipy's compiled module, eigenvalues only
+    (descending), as the tuple (d, e, z, info); `core.lapack` loads it on
+    first use so that `import typent` loads no scipy, and a module attribute
+    so that a test can patch it."""
+    return lapack().dpteqr(d, e, np.zeros((1, 1)), compute_z=0)
 
 
 def laguerre_jacobi(spec: LaguerreSpec) -> tuple[np.ndarray, np.ndarray]:

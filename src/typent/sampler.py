@@ -38,7 +38,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .core import CLAMP_TOL, BipartitionDims, Spectrum
+from .core import CLAMP_TOL, BipartitionDims, Spectrum, lapack
 from .errors import AccuracyError, ConvergenceError
 
 __all__ = [
@@ -91,12 +91,10 @@ class EnsembleEstimate:
 
 
 def dsterf(d: np.ndarray, e: np.ndarray):
-    """LAPACK dsterf through scipy, imported on first use so that `import
-    typent` loads no scipy; a module attribute so that a test can count the
-    calls."""
-    import scipy.linalg.lapack
-
-    return scipy.linalg.lapack.dsterf(d, e)
+    """LAPACK dsterf from scipy's compiled module (`core.lapack`, loaded on
+    first use, so that `import typent` loads no scipy); a module attribute so
+    that a test can count the calls."""
+    return lapack().dsterf(d, e)
 
 
 def _block_rng(seed: int, block_index: int) -> np.random.Generator:

@@ -294,11 +294,40 @@ def test_numeric_solver_matches_polynomial_routes(n, extra, fraction):
 
 def _cho_factor_succeeds(sol) -> bool:
     h = hessian(sol.spectrum.values, EnergyParams(sol.dims, eta=sol.eta))
+    return _factors_as_scipy_does(h)
+
+
+def _factors_as_scipy_does(h) -> bool:
+    """Whether scipy.linalg.cho_factor factors h; coulomb's Cholesky seam
+    agrees, and its factor equals scipy's bit for bit."""
     try:
-        scipy.linalg.cho_factor(h)
+        expected = scipy.linalg.cho_factor(h)
     except np.linalg.LinAlgError:
-        return False
-    return True
+        expected = None
+    factor = coulomb._cholesky(h)
+    assert (factor is None) is (expected is None)
+    if expected is not None:
+        assert factor[1] is expected[1]
+        assert factor[0].tobytes() == expected[0].tobytes()
+    return expected is not None
+
+
+def _typical_hessian(n, m):
+    dims = BipartitionDims(n, m)
+    return hessian(typical_solution(dims).spectrum.values, EnergyParams(dims))
+
+
+@pytest.mark.parametrize(
+    "h, definite",
+    [
+        (np.array([[1.0, 2.0], [2.0, 1.0]]), False),
+        (np.ones((3, 3)), False),
+        (_typical_hessian(6, 9), True),
+    ],
+    ids=["indefinite", "singular", "hessian"],
+)
+def test_cholesky_agrees_with_scipy(h, definite):
+    assert _factors_as_scipy_does(h) is definite
 
 
 def test_newton_factors_once_per_step_and_the_polynomial_route_never(monkeypatch):

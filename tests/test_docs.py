@@ -2,6 +2,7 @@
 
 import argparse
 import importlib
+import importlib.machinery
 import os
 import re
 import shlex
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import typent
-from typent import cli, sampler
+from typent import cli, core, sampler
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 
@@ -104,20 +105,72 @@ SAMPLE = ["sample", "--n", "4", "--m", "6", "--samples", "100", "--functional"]
         (["--help"], 0, False),
         (["sample", "--n", "0", "--m", "6"], 2, False),
         (SAMPLE + ["entropy"], 0, True),
+        (["isopurity", "--n", "64", "--beta", "2"], 0, True),
+        (["typical", "--n", "8", "--m", "11"], 0, True),
     ],
 )
 def test_cli_loads_lapack_only_when_a_request_needs_it(argv, rc, lapack):
     """Closed-form purity, a continuum density, help and a usage error never
-    load scipy.linalg; an entropy estimate diagonalizes, and loads it."""
+    load scipy's LAPACK module; an entropy estimate (dsterf), an isopurity
+    spectrum (dpteqr) and a typical spectrum with its Newton check (dpotrf)
+    load it.  None of them imports the scipy.linalg package."""
     code = (
         "import contextlib, io, sys\n"
         "from typent import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()), "
         "contextlib.redirect_stderr(io.StringIO()):\n"
         f"    rc = cli.main({argv!r})\n"
-        "print(rc, 'scipy.linalg' in sys.modules)"
+        "print(rc, 'scipy.linalg._flapack' in sys.modules, 'scipy.linalg' in sys.modules)"
     )
-    assert _fresh_python(code).split() == [str(rc), str(lapack)]
+    assert _fresh_python(code).split() == [str(rc), str(lapack), "False"]
+
+
+def test_lapack_module_is_shared_with_scipy_linalg_in_either_import_order():
+    """typent first: a later `import scipy.linalg` adopts the module typent
+    loaded and still works.  scipy.linalg first: typent reuses its module
+    and loads no new scipy module."""
+    typent_first = (
+        "import contextlib, io, sys\n"
+        "import numpy as np\n"
+        "from typent import cli, core\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    cli.main({SAMPLE + ['entropy']!r})\n"
+        "loaded = sys.modules['scipy.linalg._flapack']\n"
+        "import scipy.linalg, scipy.stats\n"
+        "c, lower = scipy.linalg.cho_factor(np.array([[4.0, 2.0], [2.0, 3.0]]))\n"
+        "print(scipy.linalg.lapack._flapack is loaded, core.lapack() is loaded,\n"
+        "      c[0, 0] == 2.0, scipy.stats.norm.cdf(0.0) == 0.5)"
+    )
+    assert _fresh_python(typent_first).split() == ["True"] * 4
+    scipy_first = (
+        "import sys\n"
+        "import scipy.linalg\n"
+        "from typent import BipartitionDims, core, solve_saddle_numeric, typical_solution\n"
+        "before = set(sys.modules)\n"
+        "print(core.lapack() is scipy.linalg.lapack._flapack)\n"
+        "typical_solution(BipartitionDims(8, 11))\n"
+        "solve_saddle_numeric(BipartitionDims(8, 11))\n"
+        "print(sorted(m for m in set(sys.modules) - before if m.startswith('scipy')))"
+    )
+    assert _fresh_python(scipy_first).split() == ["True", "[]"]
+
+
+def test_lapack_loader_names_the_module_and_directory_it_did_not_find(monkeypatch):
+    import scipy
+
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack", raising=False)
+    monkeypatch.setattr(
+        importlib.machinery.PathFinder, "find_spec", classmethod(lambda cls, *a, **k: None)
+    )
+    core.lapack.cache_clear()
+    try:
+        with pytest.raises(ImportError) as raised:
+            core.lapack()
+    finally:
+        core.lapack.cache_clear()
+    message = str(raised.value)
+    assert "scipy.linalg._flapack" in message
+    assert os.path.join(scipy.__path__[0], "linalg") in message
 
 
 def test_functional_help_names_exactly_what_the_sampler_accepts():
