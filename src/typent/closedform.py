@@ -2,10 +2,11 @@
 
 Ensemble averages (over all random pure states) and typical values (at the
 saddle point of the eigenvalue gas) are distinct: their difference is
-O(1/(NM)).  The normalization and its moments are evaluated through
-log-gamma.  The typical invariants s_k and the exact-rational helpers use
-`Fraction` arithmetic, so each float is one correctly rounded conversion and
-tests can compare derivation routes bit for bit instead of within tolerances.
+O(1/(NM)).  The normalization and its moments are sums of math.lgamma, the
+Page entropy a harmonic sum.  The typical invariants s_k and the exact-rational
+helpers use `Fraction` arithmetic, so each float is one correctly rounded
+conversion and tests can compare derivation routes bit for bit instead of
+within tolerances.
 
 Normalization of the joint eigenvalue law:
 
@@ -17,8 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .core import BipartitionDims
 
@@ -41,12 +40,10 @@ __all__ = [
 
 
 def log_normalization(dims: BipartitionDims) -> float:
-    """ln C_{N,M} via log-gamma."""
-    from scipy.special import gammaln
-
+    """ln C_{N,M} as one correctly rounded sum of math.lgamma values."""
     n, m = dims.n, dims.m
-    j = np.arange(1, n + 1)
-    return float(gammaln(n * m) - np.sum(gammaln(m - j + 1) + gammaln(n - j + 2)))
+    denominator = [*range(m - n + 1, m + 1), *range(2, n + 2)]
+    return math.fsum([math.lgamma(n * m), *(-math.lgamma(k) for k in denominator)])
 
 
 def det_moment(dims: BipartitionDims, k: int) -> float:
@@ -57,6 +54,23 @@ def det_moment(dims: BipartitionDims, k: int) -> float:
         return 1.0
     larger = BipartitionDims(dims.n, dims.m + k)
     return math.exp(log_normalization(dims) - log_normalization(larger))
+
+
+# B_2k/(2k), k = 1..7: psi(x) ~ ln x - 1/(2x) - sum_k B_2k/(2k x^2k)
+_PSI_SERIES = (1 / 12, -1 / 120, 1 / 252, -1 / 240, 1 / 132, -691 / 32760, 1 / 12)
+
+
+def _harmonic_sum(m: int, top: int) -> float:
+    """sum_{k=m+1}^{top} 1/k = psi(top+1) - psi(m+1): summed if it has at
+    most 256 terms, else the terms below 16 are summed and psi(y) - psi(x),
+    x >= 16, taken from the asymptotic series (next term below 3e-20)."""
+    if top - m <= 256:
+        return math.fsum(1.0 / k for k in range(m + 1, top + 1))
+    terms = [1.0 / k for k in range(m + 1, 16)]
+    x, y = max(m + 1, 16), top + 1
+    terms += [math.log(y / x), 0.5 / x, -0.5 / y]
+    terms += [c * (x ** (-2 * k) - y ** (-2 * k)) for k, c in enumerate(_PSI_SERIES, 1)]
+    return math.fsum(terms)
 
 
 @dataclass(frozen=True)
@@ -73,12 +87,9 @@ class EnsembleMoments:
 
 def mean_moments(dims: BipartitionDims) -> EnsembleMoments:
     """Mean eigenvalue, Lubkin rms width, mean purity, and the Page entropy."""
-    from scipy.special import digamma
-
     n, m = dims.n, dims.m
     sigma = math.sqrt((1.0 - 1.0 / n**2) / (m * n + 1))
-    # sum_{k=M+1}^{NM} 1/k written as a digamma difference
-    entropy = float(digamma(n * m + 1) - digamma(m + 1)) - (n - 1) / (2.0 * m)
+    entropy = _harmonic_sum(m, n * m) - (n - 1) / (2.0 * m)
     return EnsembleMoments(
         dims=dims,
         mean_lambda=1.0 / n,

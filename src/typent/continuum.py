@@ -4,8 +4,8 @@ Two closed-form families: the shifted semicircle for inverse temperature
 beta >= 2 (support 1 +- sqrt(2/beta)) and, at beta = 0, the
 Marchenko-Pastur law MP(c) of the unbiased ensemble with ratio c = N/M,
 support ((1 - sqrt c)^2, (1 + sqrt c)^2) (the square case c = 1 is (0, 4),
-with a hard edge at 0).  The interpolating 0 < beta < 2 branch has no
-closed form here and is out of scope.  The inverse temperature beta is the
+with a hard edge at 0).  The interpolating 0 < beta < 2 branch is not
+implemented here.  The inverse temperature beta is the
 rescaled stiffness eta / N^3 of the balanced fixed-purity problem
 (IsopurityProblem.beta); finite_n_convergence measures how fast its
 rescaled spectrum approaches the semicircle.
@@ -15,9 +15,9 @@ force-balance equation
 
     beta*mu + PV integral sigma(l)/(l - mu) dl + zeta/2 = 0.
 
-The principal value subtracts the pole: the bounded quotient
-(sigma(l) - sigma(mu))/(l - mu) goes to one adaptive quadrature with mu as
-a break point, and the subtracted pole contributes an exact log term.
+Moments and principal value use one fixed midpoint (Gauss-Chebyshev) rule
+in the angle t of mu = (a+b)/2 + (b-a)/2 cos t; the principal value adds
+the subtracted pole's part, Glauert's integral, in closed form.
 """
 
 from __future__ import annotations
@@ -45,8 +45,8 @@ __all__ = [
     "finite_n_convergence",
 ]
 
-_QUAD_TARGET = 1e-12
-_QUAD_ACCEPT = 1e-9
+_NODES = 16
+_MAX_NODES = 2**20
 
 
 @dataclass(frozen=True)
@@ -128,45 +128,33 @@ def density_grid(d: ContinuumDensity, points: int = 512) -> tuple[np.ndarray, np
     return xs, ys
 
 
-def quad(f, a: float, b: float, **kw):
-    """scipy.integrate.quad, imported on first use so that `import typent`
-    does not load scipy.integrate; a module attribute so that perfbench's
-    tracer can wrap it."""
-    from scipy.integrate import quad as scipy_quad
-
-    return scipy_quad(f, a, b, **kw)
-
-
-def _quad_checked(f, a: float, b: float, what: str, **kw) -> float:
-    val, err = quad(f, a, b, epsabs=_QUAD_TARGET, epsrel=_QUAD_TARGET, limit=200, **kw)
-    if err > _QUAD_ACCEPT * max(1.0, abs(val)):
-        raise AccuracyError(
-            f"quadrature for {what} did not reach target accuracy",
-            value=val,
-            error_estimate=err,
-        )
-    return val
+def _angle_rule(d: ContinuumDensity, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Midpoint nodes t_j = (j + 1/2) pi/n, each of weight pi/n, and mu at
+    each, written b cos^2(t/2) + a sin^2(t/2) to stay accurate near mu = 0."""
+    a, b = d.support
+    t = (np.arange(n) + 0.5) * (math.pi / n)
+    return t, b * np.cos(0.5 * t) ** 2 + a * np.sin(0.5 * t) ** 2
 
 
 def moments(d: ContinuumDensity) -> tuple[float, float, float]:
-    """(mass, mean, second moment) by adaptive quadrature.
+    """(mass, mean, second moment) by the midpoint rule in the angle t.
 
-    Both laws are integrated in the angle of mu = b cos^2(t/2) + a sin^2(t/2),
-    where sigma(mu) dmu = (2/pi) sin^2(t) mu^(-p) dt is smooth on [0, pi]:
-    p = 1 for MP(c) at every ratio, the hard edge of c = 1 included, and
-    p = 0 for the semicircle, whose (b - a)^2/4 is 2/beta.
+    sigma(mu) dmu = (2/pi) sin^2(t) mu^(-p) dt, with p = 0 for the semicircle
+    (whose (b - a)^2/4 is 2/beta) and 1 for MP(c).  That is a trig polynomial
+    of degree <= 4, exact on _NODES nodes, except at c < 1, where the rule
+    aliases the cos 2nt term, of size c^n/(1-c), of 1/mu: so n = ln(eps
+    (1-c)/2)/ln c (43623 at c = 0.999), and AccuracyError before any
+    allocation when n exceeds _MAX_NODES.
     """
-    a, b = d.support
-    p = 0 if d.kind == "semicircle" else 1
-    out = []
-    for k in range(3):
-
-        def integrand(t: float) -> float:
-            mu = b * math.cos(0.5 * t) ** 2 + a * math.sin(0.5 * t) ** 2
-            return 2.0 / math.pi * math.sin(t) ** 2 * mu ** (k - p)
-
-        out.append(_quad_checked(integrand, 0.0, math.pi, f"moment {k} of {d.kind}"))
-    return out[0], out[1], out[2]
+    c, p = d.ratio, int(d.kind != "semicircle")
+    n = _NODES
+    if c < 1.0:
+        n = max(n, math.ceil(math.log(np.finfo(float).eps * (1.0 - c) / 2.0) / math.log(c)))
+    if n > _MAX_NODES:
+        raise AccuracyError(f"MP ratio {c!r} needs {n} moment nodes, over the cap {_MAX_NODES}")
+    t, mu = _angle_rule(d, n)
+    weights = 2.0 / n * np.sin(t) ** 2
+    return tuple(math.fsum(weights * mu ** (k - p)) for k in range(3))
 
 
 def cdf_value(d: ContinuumDensity, x: np.ndarray | float) -> np.ndarray:
@@ -234,18 +222,28 @@ def ks_distance(values, d: ContinuumDensity) -> float:
 def _principal_value(d: ContinuumDensity, mu: float) -> float:
     """PV integral of sigma(l)/(l - mu) over the support, mu strictly inside.
 
-    Subtraction form: the quotient (sigma(l) - sigma(mu))/(l - mu) is
-    bounded near the pole, so one quadrature with mu as a break point
-    integrates it; the subtracted pole adds sigma(mu) * ln((b - mu)/(mu - a)).
+    With sigma = sin t p(t) and mu at angle phi, subtracting p(phi) leaves
+    Glauert's integral and a bounded quotient:
+
+        PV = -pi cos(phi) p(phi)
+             + int_0^pi sin^2 t (p(t) - p(phi))/(cos t - cos phi) dt.
+
+    p = density_value/sin t.  The quotient is 0 for the semicircle and
+    -2 sin^2(t/2)/(pi mu) for MP(1), exact on _NODES nodes; more nodes would
+    only bring the end ones nearer the MP(1) hard edge, where sigma/sin t
+    loses digits.  Of the _NODES and _NODES + 1 rules, which share no node,
+    the one whose nearest node is farther from phi is used: no 0/0.
     """
     a, b = d.support
-    s_mu = density_value(d, mu)
-
-    def h(lam: float) -> float:
-        return (density_value(d, lam) - s_mu) / (lam - mu)
-
-    smooth = _quad_checked(h, a, b, f"pv at {mu:.6g}", points=[mu])
-    return smooth + s_mu * math.log((b - mu) / (mu - a))
+    r = 0.5 * (b - a)
+    cos_phi = (mu - 0.5 * (a + b)) / r
+    p_phi = density_value(d, mu) * r / math.sqrt((mu - a) * (b - mu))
+    phi_pi = math.acos(cos_phi) / math.pi
+    n = max(_NODES, _NODES + 1, key=lambda k: abs(phi_pi * k % 1.0 - 0.5) / k)
+    t, lam = _angle_rule(d, n)
+    p = np.array([density_value(d, float(x)) for x in lam]) / np.sin(t)
+    quotient = np.sin(t) ** 2 * (p - p_phi) * r / (lam - mu)
+    return -math.pi * cos_phi * p_phi + math.pi / n * math.fsum(quotient)
 
 
 def tricomi_residual(d: ContinuumDensity, grid) -> float:
@@ -265,17 +263,8 @@ def tricomi_residual(d: ContinuumDensity, grid) -> float:
         raise ValueError("grid must contain at least one point")
     if np.any(pts <= a) or np.any(pts >= b):
         raise ValueError("grid points must lie strictly inside the support")
-    if d.kind == "semicircle":
-        anchor = d.beta * 1.0 + _principal_value(d, 1.0)
-        worst = 0.0
-        for mu in pts:
-            t = d.beta * mu + _principal_value(d, float(mu))
-            worst = max(worst, abs(t - anchor))
-        return worst
-    worst = 0.0
-    for mu in pts:
-        worst = max(worst, abs(_principal_value(d, float(mu)) + 0.5))
-    return worst
+    anchor = d.beta + _principal_value(d, 1.0) if d.kind == "semicircle" else -0.5
+    return max(abs(d.beta * mu + _principal_value(d, mu) - anchor) for mu in pts.tolist())
 
 
 @dataclass(frozen=True)

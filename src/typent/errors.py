@@ -16,9 +16,8 @@ class ConvergenceError(RuntimeError):
 
 
 class AccuracyError(RuntimeError):
-    """Quadrature finished but could not certify the requested accuracy."""
+    """A result cannot be had, or certified, to the accuracy it promises."""
 
-    def __init__(self, message, value=None, error_estimate=None):
+    def __init__(self, message, value=None):
         super().__init__(message)
         self.value = value
-        self.error_estimate = error_estimate

@@ -59,6 +59,36 @@ def test_mean_entropy_matches_harmonic_sums():
         assert got == pytest.approx(float(frac), rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "n, m", [(2, 256), (2, 257), (3, 128), (3, 129), (16, 17), (16, 18), (4, 200), (2, 1000)]
+)
+def test_mean_entropy_matches_exact_harmonic_sum_on_both_sides_of_the_cutoff(n, m):
+    """NM - M <= 256 terms are summed; more go through the psi series.  Both
+    stay within a few ulps of the exact rational."""
+    exact = sum(Fraction(1, k) for k in range(m + 1, n * m + 1)) - Fraction(n - 1, 2 * m)
+    got = mean_moments(BipartitionDims(n, m)).mean_entropy
+    assert got == pytest.approx(float(exact), rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("n, m", [(1000, 1001), (1000, 4000)])
+def test_mean_entropy_matches_scipy_digamma(n, m):
+    from scipy.special import digamma
+
+    ref = float(digamma(n * m + 1) - digamma(m + 1)) - (n - 1) / (2.0 * m)
+    assert mean_moments(BipartitionDims(n, m)).mean_entropy == pytest.approx(ref, rel=1e-15)
+
+
+@pytest.mark.parametrize(
+    "n, m", [(2, 2), (2, 3), (3, 7), (8, 11), (64, 128), (200, 201), (1000, 1001), (1000, 4000)]
+)
+def test_log_normalization_matches_scipy_gammaln(n, m):
+    from scipy.special import gammaln
+
+    j = np.arange(1, n + 1)
+    ref = float(gammaln(n * m) - np.sum(gammaln(m - j + 1) + gammaln(n - j + 2)))
+    assert log_normalization(BipartitionDims(n, m)) == pytest.approx(ref, rel=1e-14)
+
+
 def test_typical_purity_exact_routes_agree():
     for n in range(2, 13):
         for m in range(n + 1, 51, 7):

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
+from typent import continuum
 from typent.continuum import (
     cdf_value,
     density_grid,
@@ -16,6 +19,7 @@ from typent.continuum import (
     semicircle,
     tricomi_residual,
 )
+from typent.errors import AccuracyError
 
 RATIOS = (0.01, 0.25, 0.5)
 
@@ -131,12 +135,66 @@ def test_square_case_matches_former_closed_forms():
     assert np.max(np.abs(cdf_value(d, xs) - (2.0 * u + np.sin(2.0 * u)) / math.pi)) <= 1e-14
 
 
-@pytest.mark.parametrize("c", RATIOS)
+@pytest.mark.parametrize("c", RATIOS + (0.9, 0.99, 0.999))
 def test_general_ratio_moments(c):
     mass, mean, second = moments(marchenko_pastur(c))
     assert abs(mass - 1.0) <= 1e-12
     assert abs(mean - 1.0) <= 1e-12
     assert abs(second - (1.0 + c)) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(min_value=0.0, max_value=0.999, exclude_min=True))
+def test_moments_hold_at_every_ratio(c):
+    mass, mean, second = moments(marchenko_pastur(c))
+    assert abs(mass - 1.0) <= 1e-12
+    assert abs(mean - 1.0) <= 1e-12
+    assert abs(second - (1.0 + c)) <= 1e-12
+
+
+def test_moments_refuse_a_ratio_past_the_node_cap(monkeypatch):
+    """Near c = 1 the rule would need billions of nodes; moments says so,
+    naming the ratio and the count, before it builds any node."""
+
+    def no_nodes(*args):
+        raise AssertionError("nodes built before the cap was checked")
+
+    monkeypatch.setattr(continuum, "_angle_rule", no_nodes)
+    c = 1.0 - 1e-9
+    with pytest.raises(AccuracyError, match=rf"ratio {c!r} needs \d+ moment nodes"):
+        moments(marchenko_pastur(c))
+
+
+def _quad_principal_value(d, mu):
+    """The subtraction-form PV by adaptive quadrature: the bounded quotient
+    (sigma(l) - sigma(mu))/(l - mu) with mu as a break point, plus the
+    subtracted pole's log term."""
+    a, b = d.support
+    s_mu = density_value(d, mu)
+    val, _ = integrate.quad(
+        lambda lam: (density_value(d, lam) - s_mu) / (lam - mu),
+        a,
+        b,
+        points=[mu],
+        epsabs=1e-13,
+        epsrel=1e-13,
+        limit=200,
+    )
+    return val + s_mu * math.log((b - mu) / (mu - a))
+
+
+@pytest.mark.parametrize("d", [semicircle(2.0), semicircle(10.0), marchenko_pastur()])
+def test_principal_value_matches_quadrature(d):
+    a, b = d.support
+    mid, r = 0.5 * (a + b), 0.5 * (b - a)
+    # this mu's angle acos((mu - mid)/r) is the ninth node of the 16-node rule,
+    # to the last bit, so the quotient there would be 0/0
+    on_node = mid + r * math.cos(8.5 * math.pi / continuum._NODES)
+    assert math.acos((on_node - mid) / r) * continuum._NODES / math.pi % 1.0 == 0.5
+    for mu in [*np.linspace(a, b, 9)[1:-1].tolist(), on_node]:
+        got = continuum._principal_value(d, mu)
+        assert math.isfinite(got)
+        assert abs(got - _quad_principal_value(d, mu)) <= 1e-12
 
 
 @pytest.mark.parametrize(

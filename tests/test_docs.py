@@ -85,8 +85,8 @@ def _fresh_python(code: str) -> str:
 
 
 def test_import_leaves_scipy_unloaded():
-    """Every scipy module is imported on first use (LAPACK, quadrature,
-    special functions), so importing typent loads none of them."""
+    """scipy's LAPACK module is loaded on first use, so importing typent
+    loads no scipy module."""
     code = (
         "import sys, typent; "
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
@@ -123,6 +123,43 @@ def test_cli_loads_lapack_only_when_a_request_needs_it(argv, rc, lapack):
         "print(rc, 'scipy.linalg._flapack' in sys.modules, 'scipy.linalg' in sys.modules)"
     )
     assert _fresh_python(code).split() == [str(rc), str(lapack), "False"]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        *(
+            f"assert cli.main({argv!r}) == 0"
+            for argv in [
+                ["typical", "--n", "8", "--m", "11"],
+                ["isopurity", "--n", "64", "--beta", "2"],
+                ["isopurity", "--n", "4", "--scan", "20,400,10"],
+                ["converge", "--n", "8,16", "--beta", "2"],
+                ["density", "--kind", "semicircle", "--beta", "2"],
+                ["table", "--n", "2", "--m", "3"],
+                SAMPLE + ["entropy"],
+                SAMPLE + ["purity"],
+                ["sample", "--n", "4", "--m", "6", "--samples", "100", "--histogram-bins", "16"],
+            ]
+        ),
+        "typent.tricomi_residual(typent.marchenko_pastur(), [0.5, 2.0, 3.5])",
+        "typent.mean_moments(typent.BipartitionDims(8, 11))",
+    ],
+)
+def test_no_request_loads_scipy_special_or_integrate(call):
+    """scipy's compiled LAPACK module is the only scipy code that typent
+    loads: every subcommand, the force-balance check and the ensemble
+    moments run on closed forms and fixed rules."""
+    code = (
+        "import contextlib, io, sys\n"
+        "import typent\n"
+        "from typent import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()), "
+        "contextlib.redirect_stderr(io.StringIO()):\n"
+        f"    {call}\n"
+        "print(sorted(m for m in sys.modules if m.startswith(('scipy.special', 'scipy.integrate'))))"
+    )
+    assert _fresh_python(code).strip() == "[]"
 
 
 def test_lapack_module_is_shared_with_scipy_linalg_in_either_import_order():
